@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,9 +82,16 @@ def dict_to_jet(data):
             raise CLIError(f"jet file missing field '{key}'")
     if data["schema"] != SCHEMA:
         raise CLIError(f"unsupported schema {data['schema']!r}, expected {SCHEMA!r}")
-    d = int(data["dim"])
-    m = int(data["codim"])
-    gamma = float(data["gamma"])
+    for key in ("dim", "codim"):
+        val = data[key]
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            raise CLIError(f"'{key}' must be a positive integer, got {val!r}")
+    gamma = data["gamma"]
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not (
+        math.isfinite(gamma) and gamma > 0
+    ):
+        raise CLIError(f"'gamma' must be a finite positive number, got {gamma!r}")
+    d, m, gamma = data["dim"], data["codim"], float(gamma)
     k = level_count(gamma)
     points = data["points"]
     raw_jets = data["jets"]
@@ -210,36 +218,22 @@ def cmd_bounds(args):
     missing = [f"--{name}" for name in _BOUNDS_FLAGS[which] if getattr(args, name.replace("-", "_")) is None]
     if missing:
         raise CLIError(f"--which {which} requires {', '.join(missing)}")
+    try:
+        rep = _bounds_result(args, which)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
 
-    if which in ("g", "h"):
-        query = BoundQuery(rho=args.rho, theta=args.theta, l=args.l or 0, diam=args.diam)
-        rep = g_const(query) if which == "g" else h_const(query)
-    elif which == "nesting":
-        rep = nesting_factor(args.rho, args.theta, args.diam)
-    elif which == "local1":
-        query = BoundQuery(rho=args.rho, theta=args.theta, A=args.a, r0=args.r0, delta=args.delta)
-        rep = local_bound_I(query)
-    elif which == "local2":
-        query = BoundQuery(rho=args.rho, theta=args.theta, A=args.a, r0=args.r0, delta=args.delta)
-        rep = local_bound_II(query)
-    elif which == "delta-star":
-        rep = delta_star(args.a, args.r0, args.rho)
-    elif which == "delta0-pointwise":
-        rep = delta0_pointwise(args.eps, args.eps0, args.k, args.gamma, int(args.l))
-    elif which == "delta0-single":
-        rep = delta0_single_point(args.eps, args.eps0, args.k, args.gamma, args.eta)
-    else:  # sandwich
-        consts = sandwich_constants(args.eps, args.k, args.gamma, args.eta)
+    if which == "sandwich":
         lines = [
-            f"delta0    = {consts.delta0:.12g}",
-            f"eps0      = {consts.eps0:.12g}",
-            f"theta_aux = {consts.theta_aux:.12g}",
+            f"delta0    = {rep.delta0:.12g}",
+            f"eps0      = {rep.eps0:.12g}",
+            f"theta_aux = {rep.theta_aux:.12g}",
         ]
         payload = {
             "name": "sandwich_constants",
-            "delta0": consts.delta0,
-            "eps0": consts.eps0,
-            "theta_aux": consts.theta_aux,
+            "delta0": rep.delta0,
+            "eps0": rep.eps0,
+            "theta_aux": rep.theta_aux,
         }
         _emit(args, lines, payload)
         return EXIT_OK
@@ -253,6 +247,29 @@ def cmd_bounds(args):
         lines.append(f"  {key}: {val}")
     _emit(args, lines, _report_payload(rep))
     return EXIT_OK
+
+
+def _bounds_result(args, which):
+    """The library call behind ``bounds --which``: a BoundReport, or
+    SandwichConstants for ``sandwich``."""
+    if which in ("g", "h"):
+        query = BoundQuery(rho=args.rho, theta=args.theta, l=args.l or 0, diam=args.diam)
+        return g_const(query) if which == "g" else h_const(query)
+    if which == "nesting":
+        return nesting_factor(args.rho, args.theta, args.diam)
+    if which == "local1":
+        query = BoundQuery(rho=args.rho, theta=args.theta, A=args.a, r0=args.r0, delta=args.delta)
+        return local_bound_I(query)
+    if which == "local2":
+        query = BoundQuery(rho=args.rho, theta=args.theta, A=args.a, r0=args.r0, delta=args.delta)
+        return local_bound_II(query)
+    if which == "delta-star":
+        return delta_star(args.a, args.r0, args.rho)
+    if which == "delta0-pointwise":
+        return delta0_pointwise(args.eps, args.eps0, args.k, args.gamma, int(args.l))
+    if which == "delta0-single":
+        return delta0_single_point(args.eps, args.eps0, args.k, args.gamma, args.eta)
+    return sandwich_constants(args.eps, args.k, args.gamma, args.eta)
 
 
 def cmd_cover(args):

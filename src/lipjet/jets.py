@@ -9,13 +9,11 @@ and every Taylor-type remainder by M * ||y - x||^(gamma - l).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._config import worker_count
-from .tensor_core import SymForm, apply_form, contract, op_norm
+from .tensor_core import SymForm
 
 # Construction rejects site pairs closer than this (relative to the
 # ambient coordinate scale): Holder quotients blow up at coincident sites.
@@ -67,14 +65,14 @@ class LipFunction:
                 elif form.codim != codim:
                     raise ValueError("all forms must share the same codim")
 
-        scale_ref = max(1.0, float(np.max(np.abs(sites))))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(sites[j] - sites[i]) < MIN_SITE_SEPARATION * scale_ref:
-                    raise ValueError(
-                        f"sites {i} and {j} are closer than the separation "
-                        f"tolerance"
-                    )
+        tol = MIN_SITE_SEPARATION * max(1.0, float(np.max(np.abs(sites))))
+        for i in range(n - 1):
+            close = np.flatnonzero(np.linalg.norm(sites[i + 1:] - sites[i], axis=1) < tol)
+            if close.size:
+                raise ValueError(
+                    f"sites {i} and {i + 1 + int(close[0])} are closer than "
+                    f"the separation tolerance"
+                )
 
         sites.setflags(write=False)
         object.__setattr__(self, "dim", d)
@@ -148,86 +146,79 @@ def truncated_remainder(f, q, l, x_idx, y_idx):
         raise ValueError(f"need 0 <= l <= q <= k, got l={l}, q={q}, k={f.k}")
     _check_site(f, x_idx)
     _check_site(f, y_idx)
+    base = [f.form(x_idx, s).coeffs for s in range(q + 1)]
     step = f.sites[y_idx] - f.sites[x_idx]
-    acc = f.form(y_idx, l).coeffs.copy()
+    rem = f.form(y_idx, l).coeffs - _expansion(base, l, step[None, :])[0]
+    return SymForm(l, f.dim, f.codim, rem)
+
+
+def _expansion(base, l, steps):
+    """Sum of base[l+s][step^s] / s! over s = 0..len(base)-1-l, per step.
+
+    ``base[j]`` is the level-j coefficient array of one site, shape
+    (d,)*j + (m,); ``steps`` has shape (n, d). Returns the stack of
+    degree-l coefficient arrays, shape (n,) + (d,)*l + (m,).
+    """
+    acc = np.repeat(base[l][None], steps.shape[0], axis=0)
     fact = 1.0
-    for s in range(0, q - l + 1):
-        if s > 0:
-            fact *= s
-        term = contract(f.form(x_idx, l + s), step, s)
-        acc -= term.coeffs / fact
-    return SymForm(l, f.dim, f.codim, acc)
+    for s in range(1, len(base) - l):
+        fact *= s
+        term = np.tensordot(steps, base[l + s], axes=(1, 0))
+        for _ in range(s - 1):
+            term = np.einsum("nd,nd...->n...", steps, term)
+        acc += term / fact
+    return acc
+
+
+def _op_norms(stack):
+    """Operator norm of each form in a stack of shape (n,) + (d,)*l + (m,)."""
+    n, m = stack.shape[0], stack.shape[-1]
+    if m == 1:
+        return np.linalg.norm(stack.reshape(n, -1), axis=1)
+    return np.linalg.norm(stack.reshape(n, -1, m), ord=2, axis=(1, 2))
 
 
 def lip_norm(f, eta):
-    """Exact Lip(eta) norm of the truncation of f to level ceil(eta)-1.
+    """Exact Lip(eta) norm of the truncation of f to level q = ceil(eta)-1.
 
-    Runs the full double loop over ordered site pairs; exactness matters
-    more than speed at the intended scale.
+    The coefficients of each level are stacked once. Each base site i
+    then gives one row per level: the remainders against every site j
+    in one batch, their operator norms divided by ||y_j - x_i||^(eta-l).
+    Every witness is the first maximum in index order: the site for a
+    pointwise sup, the ordered pair (i, j) for a Holder sup, which is
+    None when the sup is 0.
     """
     eta = float(eta)
     if not (0 < eta <= f.gamma):
         raise ValueError(f"eta must lie in (0, {f.gamma}], got {eta}")
     q = level_count(eta)
+    n = f.n_sites
+    levels = [np.stack([f.form(i, l).coeffs for i in range(n)]) for l in range(q + 1)]
 
     report = NormReport(eta=eta)
-    n = f.n_sites
-    for l in range(q + 1):
-        best = 0.0
-        best_idx = 0
-        for i in range(n):
-            val = op_norm(f.form(i, l))
-            if val > best:
-                best = val
-                best_idx = i
-        report.pointwise.append(best)
+    for stack in levels:
+        norms = _op_norms(stack)
+        best_idx = int(np.argmax(norms))
+        report.pointwise.append(float(norms[best_idx]))
         report.pointwise_witness.append(best_idx)
 
-        best, best_pair = _holder_sup(f, q, l, eta)
-        report.holder.append(best)
-        report.holder_witness.append(best_pair)
+    report.holder = [0.0] * (q + 1)
+    report.holder_witness = [None] * (q + 1)
+    for i in range(n):
+        steps = f.sites - f.sites[i]
+        gaps = np.linalg.norm(steps, axis=1)
+        gaps[i] = 1.0
+        base = [stack[i] for stack in levels]
+        for l in range(q + 1):
+            quot = _op_norms(levels[l] - _expansion(base, l, steps)) / gaps ** (eta - l)
+            quot[i] = 0.0
+            j = int(np.argmax(quot))
+            if quot[j] > report.holder[l]:
+                report.holder[l] = float(quot[j])
+                report.holder_witness[l] = (i, j)
 
     report.recompute_overall()
     return report
-
-
-def _holder_row(f, q, l, eta, i):
-    """Best remainder quotient over the ordered pairs (i, j), j != i."""
-    best = 0.0
-    best_pair = None
-    n = f.n_sites
-    for j in range(n):
-        if i == j:
-            continue
-        gap = float(np.linalg.norm(f.sites[j] - f.sites[i]))
-        quot = op_norm(truncated_remainder(f, q, l, i, j)) / gap ** (eta - l)
-        if quot > best:
-            best = quot
-            best_pair = (i, j)
-    return best, best_pair
-
-
-def _holder_sup(f, q, l, eta):
-    """Sup of the level-l remainder quotient over ordered site pairs.
-
-    The row scans commute under max, so large instances can be spread
-    over worker threads (capped by LIPJET_THREADS); merging rows in
-    index order keeps the witness deterministic.
-    """
-    n = f.n_sites
-    workers = min(worker_count(), n)
-    if n >= 64 and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda i: _holder_row(f, q, l, eta, i), range(n)))
-    else:
-        rows = [_holder_row(f, q, l, eta, i) for i in range(n)]
-    best = 0.0
-    best_pair = None
-    for val, pair in rows:
-        if val > best:
-            best = val
-            best_pair = pair
-    return best, best_pair
 
 
 def proposal_eval(f, x_idx, y):
@@ -236,15 +227,8 @@ def proposal_eval(f, x_idx, y):
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != f.dim:
         raise ValueError("point length does not match jet dimension")
-    step = y - f.sites[x_idx]
-    out = np.zeros(f.codim)
-    fact = 1.0
-    for s in range(f.k + 1):
-        if s > 0:
-            fact *= s
-        term = contract(f.form(x_idx, s), step, s)
-        out += apply_form(term, []) / fact
-    return out
+    base = [f.form(x_idx, s).coeffs for s in range(f.k + 1)]
+    return _expansion(base, 0, (y - f.sites[x_idx])[None, :])[0]
 
 
 def holder_estimate_check(f, x_idx, w_idx, y, z, norm=None):

@@ -171,7 +171,3 @@ def op_norm(form):
         return 0.0
     return float(np.linalg.norm(mat, ord=2))
 
-
-def frobenius_norm(form):
-    """Frobenius norm of the coefficient tensor (an upper bound for op_norm)."""
-    return float(np.linalg.norm(form.coeffs.ravel()))

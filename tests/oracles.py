@@ -207,6 +207,47 @@ def op_norm_oracle(flat_matrix):
     return math.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram)))))
 
 
+def lip_norm_oracle(sites, forms, eta):
+    """Lip(eta) norm by an explicit loop over sites and ordered pairs.
+
+    ``forms[i][l]`` is the coefficient array of the level-l form at site
+    i. Returns (pointwise, pointwise_witness, holder, holder_witness);
+    each witness is the first maximum in index order, and a Holder
+    witness is None when its sup is 0.
+    """
+    q = math.ceil(eta) - 1
+    sites = np.asarray(sites, dtype=float)
+    n = len(sites)
+
+    def norm(coeffs):
+        return op_norm_oracle(np.reshape(coeffs, (-1, np.shape(coeffs)[-1])))
+
+    pointwise, pointwise_witness, holder, holder_witness = [], [], [], []
+    for l in range(q + 1):
+        vals = [norm(forms[i][l]) for i in range(n)]
+        pointwise.append(max(vals))
+        pointwise_witness.append(vals.index(max(vals)))
+        best, where = 0.0, None
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                step = sites[j] - sites[i]
+                rem = np.array(forms[j][l], dtype=float)
+                for s in range(q - l + 1):
+                    term = np.asarray(forms[i][l + s], dtype=float)
+                    for _ in range(s):
+                        term = np.tensordot(step, term, axes=(0, 0))
+                    rem = rem - term / math.factorial(s)
+                gap = math.sqrt(float(np.dot(step, step)))
+                quot = norm(rem) / gap ** (eta - l)
+                if quot > best:
+                    best, where = quot, (i, j)
+        holder.append(best)
+        holder_witness.append(where)
+    return pointwise, pointwise_witness, holder, holder_witness
+
+
 def cover_check_oracle(sites, centers, delta):
     """Plain double loop cover check."""
     for i, p in enumerate(sites):

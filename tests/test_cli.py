@@ -72,6 +72,25 @@ def test_malformed_jetfile_diagnostics(tmp_path, capsys):
     assert "points" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("norm", {"dim": "x"}),
+    ("norm", {"gamma": 0}),
+    ("norm", {"gamma": "nan"}),
+    ("bounds", "--which", "g", "--rho", "1", "--theta", "2", "--l", "0", "--diam", "1"),
+    ("bounds", "--which", "sandwich", "--eps", "-1", "--k", "1", "--gamma", "1.5", "--eta", "0.75"),
+], ids=["dim-x", "gamma-0", "gamma-nan", "g-theta-above-rho", "sandwich-negative-eps"])
+def test_bad_input_exits_two(argv, tmp_path, capsys):
+    if isinstance(argv[1], dict):
+        data = json.load(open(fixture_path("zero-jet")))
+        data.update(argv[1])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        argv = (argv[0], str(p))
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+
+
 def test_roundtrip_is_bit_identical(tmp_path):
     f = load_jetfile(fixture_path("parabola-three-sites"))
     out = tmp_path / "copy.json"

@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lipjet
 from helpers import add, random_jet, worst_site_gap
 from lipjet import (
     LipFunction,
@@ -25,6 +21,7 @@ from lipjet import (
     truncated_remainder,
 )
 from lipjet.tensor_core import op_norm
+from oracles import lip_norm_oracle
 
 
 def cubic_jet(xs):
@@ -57,6 +54,21 @@ def test_construction_validation():
         LipFunction(1.5, [[0.0]], [[good]])  # missing level 1
     with pytest.raises(TypeError):
         LipFunction(1.0, [[0.0]], [[np.array([1.0])]])
+
+
+def test_separation_check_names_first_close_pair():
+    good = SymForm(0, 1, 1, np.array([1.0]))
+    sites = np.arange(50.0)[:, None]
+    sites[49] = sites[2]
+    with pytest.raises(ValueError, match=r"sites 2 and 49 "):
+        LipFunction(1.0, sites, [[good]] * 50)
+
+
+def test_separation_tolerance_is_relative():
+    good = SymForm(0, 1, 1, np.array([1.0]))
+    with pytest.raises(ValueError, match=r"sites 0 and 1 "):
+        LipFunction(1.0, [[1e6], [1e6 + 1e-4]], [[good], [good]])
+    assert LipFunction(1.0, [[1e6], [1e6 + 1e-2]], [[good], [good]]).n_sites == 2
 
 
 def test_remainders_of_exact_cubic():
@@ -217,27 +229,22 @@ def test_norm_triangle_inequality(seed):
     assert lip_norm(add(f, g), f.gamma).overall <= nf + ng + 1e-9 * (nf + ng + 1)
 
 
-def test_thread_count_does_not_change_result():
-    # N = 80 sits above _holder_sup's 64-site threshold, so LIPJET_THREADS=4
-    # really takes the thread-pool branch.
-    code = (
-        "import numpy as np\n"
-        "from helpers import random_jet\n"
-        "from lipjet import lip_norm\n"
-        "f = random_jet(np.random.default_rng(42), 2, 1, 1, 80)\n"
-        "rep = lip_norm(f, f.gamma)\n"
-        "print(repr(rep.overall), rep.holder_witness)\n"
-    )
-    # The children import helpers from tests/ and the same lipjet as this
-    # process, whether that comes from src/ or from an installed copy.
-    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(lipjet.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, LIPJET_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        outs.append(out.stdout)
-    assert outs[0]
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+@pytest.mark.parametrize("d,m,k", [(1, 1, 0), (2, 1, 1), (3, 1, 2), (2, 2, 2), (1, 2, 1)])
+def test_lip_norm_matches_pair_loop_oracle(d, m, k, n):
+    f = random_jet(np.random.default_rng(100 * n + 10 * d + k + m), d, m, k, n)
+    forms = [[f.form(i, l).coeffs for l in range(k + 1)] for i in range(n)]
+    for eta in (f.gamma, f.gamma - 1.0 if k > 0 else f.gamma / 2.0):
+        rep = lip_norm(f, eta)
+        pointwise, pointwise_witness, holder, holder_witness = lip_norm_oracle(f.sites, forms, eta)
+        assert rep.pointwise == pytest.approx(pointwise, rel=1e-12)
+        assert rep.holder == pytest.approx(holder, rel=1e-12)
+        assert rep.pointwise_witness == pointwise_witness
+        assert rep.holder_witness == holder_witness
+
+
+def test_lip_norm_pinned_case():
+    f = random_jet(np.random.default_rng(42), 2, 1, 1, 80)
+    rep = lip_norm(f, f.gamma)
+    assert rep.overall == 9541.532148462325
+    assert rep.holder_witness == [(56, 64), (2, 51)]
