@@ -95,12 +95,17 @@ def dict_to_jet(data):
     k = level_count(gamma)
     points = data["points"]
     raw_jets = data["jets"]
+    for key in ("points", "jets"):
+        if not isinstance(data[key], list):
+            raise CLIError(f"'{key}' must be a list, got {type(data[key]).__name__}")
     if len(points) != len(raw_jets):
         raise CLIError(
             f"points ({len(points)}) and jets ({len(raw_jets)}) have different lengths"
         )
     jets = []
     for i, per_site in enumerate(raw_jets):
+        if not isinstance(per_site, list):
+            raise CLIError(f"jets[{i}] must be a list of levels, got {type(per_site).__name__}")
         if len(per_site) != k + 1:
             raise CLIError(
                 f"jets[{i}]: expected {k + 1} levels for gamma={gamma}, got {len(per_site)}"
@@ -108,14 +113,18 @@ def dict_to_jet(data):
         forms = []
         for l, flat in enumerate(per_site):
             want = d**l * m
+            if not isinstance(flat, list):
+                raise CLIError(
+                    f"jets[{i}][{l}] must be a list of coefficients, got {type(flat).__name__}"
+                )
             if len(flat) != want:
                 raise CLIError(
                     f"jets[{i}][{l}]: expected {want} coefficients, got {len(flat)}"
                 )
-            coeffs = np.array(flat, dtype=float).reshape((d,) * l + (m,))
             try:
+                coeffs = np.array(flat, dtype=float).reshape((d,) * l + (m,))
                 forms.append(SymForm(l, d, m, coeffs, sym_tol=LOAD_SYM_TOL))
-            except ValueError as exc:
+            except (ValueError, TypeError) as exc:
                 raise CLIError(f"jets[{i}][{l}]: {exc}") from exc
         jets.append(forms)
     try:
@@ -220,7 +229,7 @@ def cmd_bounds(args):
         raise CLIError(f"--which {which} requires {', '.join(missing)}")
     try:
         rep = _bounds_result(args, which)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise CLIError(str(exc)) from exc
 
     if which == "sandwich":
@@ -266,10 +275,17 @@ def _bounds_result(args, which):
     if which == "delta-star":
         return delta_star(args.a, args.r0, args.rho)
     if which == "delta0-pointwise":
-        return delta0_pointwise(args.eps, args.eps0, args.k, args.gamma, int(args.l))
+        return delta0_pointwise(args.eps, args.eps0, args.k, args.gamma, _level_flag(args.l))
     if which == "delta0-single":
         return delta0_single_point(args.eps, args.eps0, args.k, args.gamma, args.eta)
     return sandwich_constants(args.eps, args.k, args.gamma, args.eta)
+
+
+def _level_flag(value):
+    """The jet level given by ``--l``; anything but a whole number is an input error."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise CLIError(f"--l must be a whole number, got {value}")
+    return int(value)
 
 
 def cmd_cover(args):
@@ -326,7 +342,9 @@ def cmd_certify(args):
                 if getattr(args, name) is None:
                     raise CLIError(f"--theorem pointwise requires --{name}")
             B = _parse_centers(args.centers, f.n_sites)
-            cert = certify_pointwise(f, g, B, args.eps, args.eps0, args.k1, args.k2, int(args.l))
+            cert = certify_pointwise(
+                f, g, B, args.eps, args.eps0, args.k1, args.k2, _level_flag(args.l)
+            )
         elif args.theorem == "single-point":
             for name in ("eps", "eps0", "k1", "k2", "eta"):
                 if getattr(args, name) is None:
@@ -346,6 +364,8 @@ def cmd_certify(args):
         # hypothesis-parameter violation: rejected before any checking
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
+    except ArithmeticError as exc:
+        raise CLIError(str(exc)) from exc
 
     lines = [
         f"theorem: {cert.theorem}",
@@ -386,11 +406,11 @@ def cmd_plan(args):
             f.gamma,
             eta=args.eta,
             mode=args.mode,
-            l=None if args.l is None else int(args.l),
+            l=None if args.l is None else _level_flag(args.l),
             eps0=args.eps0,
             cube=args.cube,
         )
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise CLIError(str(exc)) from exc
     lines = [
         f"mode: {plan.mode}",

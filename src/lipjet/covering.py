@@ -38,8 +38,31 @@ def _as_sites(sites):
     return arr
 
 
-def _dists_to(sites, idx):
-    return np.linalg.norm(sites - sites[idx], axis=1)
+# A block of the pair-distance kernel holds about this many float64
+# elements (128 KB per temporary); blocks of rows are sized to match.
+_BLOCK_ELEMS = 1 << 14
+
+
+def _sq_dists(a, b):
+    """Squared distances between the rows of a (r, d) and b (c, d), as (r, c).
+
+    Summed one coordinate at a time: for d <= 7 the square roots equal
+    ``np.linalg.norm(b - a[i], axis=1)`` bit for bit (numpy sums pairwise
+    from d = 8 on, which can differ in the last ulp).
+    """
+    acc = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        t = b[None, :, k] - a[:, k, None]
+        t *= t
+        acc += t
+    return acc
+
+
+def _row_blocks(n_rows, n_cols):
+    """(start, stop) row ranges whose kernel blocks against n_cols columns
+    hold about _BLOCK_ELEMS elements."""
+    step = max(1, _BLOCK_ELEMS // n_cols)
+    return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
 def is_cover(sites, centers, delta):
@@ -58,9 +81,11 @@ def is_cover(sites, centers, delta):
     if not centers:
         return False, 0
     center_pts = sites[centers]
-    for i in range(sites.shape[0]):
-        if np.min(np.linalg.norm(center_pts - sites[i], axis=1)) > delta:
-            return False, i
+    for start, stop in _row_blocks(sites.shape[0], len(centers)):
+        nearest = np.sqrt(_sq_dists(sites[start:stop], center_pts).min(axis=1))
+        uncovered = nearest > delta
+        if uncovered.any():
+            return False, start + int(np.argmax(uncovered))
     return True, None
 
 
@@ -74,15 +99,16 @@ def greedy_cover(sites, delta):
     sites = _as_sites(sites)
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    n = sites.shape[0]
     centers = [0]
-    min_dist = _dists_to(sites, 0)
+    min_dist = np.sqrt(_sq_dists(sites[:1], sites)[0])
     while True:
         far = int(np.argmax(min_dist))  # argmax takes the first maximizer
         if min_dist[far] <= delta:
             break
         centers.append(far)
-        min_dist = np.minimum(min_dist, _dists_to(sites, far))
+        row = np.sqrt(_sq_dists(sites[far : far + 1], sites)[0])
+        np.minimum(min_dist, row, out=min_dist)
+    # independent final check, not a reuse of min_dist
     ok, witness = is_cover(sites, centers, delta)
     return CoverPlan(
         delta=float(delta),
@@ -102,10 +128,12 @@ def greedy_packing(sites, delta):
     sites = _as_sites(sites)
     if not (delta > 0):
         raise ValueError("delta must be positive")
+    excluded = np.zeros(sites.shape[0], dtype=bool)
     kept = []
     for i in range(sites.shape[0]):
-        if all(np.linalg.norm(sites[i] - sites[j]) > delta for j in kept):
+        if not excluded[i]:
             kept.append(i)
+            excluded |= np.sqrt(_sq_dists(sites[i : i + 1], sites)[0]) <= delta
     return kept
 
 
@@ -131,11 +159,8 @@ def diameter(sites):
     """Largest pairwise Euclidean distance; 0 for a single site."""
     sites = _as_sites(sites)
     n = sites.shape[0]
-    if n == 1:
-        return 0.0
     best = 0.0
-    for i in range(n):
-        best = max(best, float(np.max(np.linalg.norm(sites[i + 1 :] - sites[i], axis=1))))
-        if i + 2 >= n:
-            break
-    return best
+    for start, stop in _row_blocks(n, n):
+        # rows [start, stop) against sites[start:] meet every pair i < j
+        best = max(best, float(_sq_dists(sites[start:stop], sites[start:]).max()))
+    return math.sqrt(best)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .covering import _row_blocks, _sq_dists
 from .tensor_core import SymForm
 
 # Construction rejects site pairs closer than this (relative to the
@@ -66,11 +67,14 @@ class LipFunction:
                     raise ValueError("all forms must share the same codim")
 
         tol = MIN_SITE_SEPARATION * max(1.0, float(np.max(np.abs(sites))))
-        for i in range(n - 1):
-            close = np.flatnonzero(np.linalg.norm(sites[i + 1:] - sites[i], axis=1) < tol)
-            if close.size:
+        for start, stop in _row_blocks(n - 1, n):
+            # row r is site start + r, column c is site start + 1 + c;
+            # triu keeps c >= r, i.e. j > i
+            close = np.triu(np.sqrt(_sq_dists(sites[start:stop], sites[start + 1:])) < tol)
+            if close.any():
+                r, c = divmod(int(np.argmax(close)), close.shape[1])
                 raise ValueError(
-                    f"sites {i} and {i + 1 + int(close[0])} are closer than "
+                    f"sites {start + r} and {start + 1 + c} are closer than "
                     f"the separation tolerance"
                 )
 

@@ -256,10 +256,54 @@ def cover_check_oracle(sites, centers, delta):
     return True, None
 
 
+def is_cover_rows_oracle(sites, centers, delta):
+    """One site at a time: an np.linalg.norm row against all centers."""
+    if not centers:
+        return False, 0
+    center_pts = sites[list(centers)]
+    for i in range(sites.shape[0]):
+        if np.min(np.linalg.norm(center_pts - sites[i], axis=1)) > delta:
+            return False, i
+    return True, None
+
+
+def greedy_cover_rows_oracle(sites, delta):
+    """Farthest-point greedy from site 0, one np.linalg.norm row per center."""
+    centers = [0]
+    min_dist = np.linalg.norm(sites - sites[0], axis=1)
+    while True:
+        far = int(np.argmax(min_dist))
+        if min_dist[far] <= delta:
+            return centers
+        centers.append(far)
+        min_dist = np.minimum(min_dist, np.linalg.norm(sites - sites[far], axis=1))
+
+
+def pair_distance(p, q):
+    """Euclidean distance with the squares summed in coordinate order.
+
+    The 1-D ``np.linalg.norm`` goes through BLAS ``dot``, whose rounding
+    (fused multiply-add on some builds) can differ in the last ulp.
+    """
+    acc = 0.0
+    for a, b in zip(p, q):
+        acc += (b - a) * (b - a)
+    return math.sqrt(acc)
+
+
+def greedy_packing_oracle(sites, delta):
+    """Index-order greedy packing, one site pair at a time."""
+    kept = []
+    for i in range(len(sites)):
+        if all(pair_distance(sites[i], sites[j]) > delta for j in kept):
+            kept.append(i)
+    return kept
+
+
 def diameter_oracle(sites):
     best = 0.0
     n = len(sites)
     for i in range(n):
         for j in range(i + 1, n):
-            best = max(best, float(np.linalg.norm(sites[i] - sites[j])))
+            best = max(best, pair_distance(sites[i], sites[j]))
     return best

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -72,20 +73,49 @@ def test_malformed_jetfile_diagnostics(tmp_path, capsys):
     assert "points" in err
 
 
+# gamma = 1.01 with eta = 0.5: the sandwich constants' single-anchor radius is 0
+_DEGENERATE_RADIUS = {"gamma": 1.01, "jets": [[[0.0], [0.0]]] * 3}
+
+
 @pytest.mark.parametrize("argv", [
     ("norm", {"dim": "x"}),
     ("norm", {"gamma": 0}),
     ("norm", {"gamma": "nan"}),
     ("bounds", "--which", "g", "--rho", "1", "--theta", "2", "--l", "0", "--diam", "1"),
     ("bounds", "--which", "sandwich", "--eps", "-1", "--k", "1", "--gamma", "1.5", "--eta", "0.75"),
-], ids=["dim-x", "gamma-0", "gamma-nan", "g-theta-above-rho", "sandwich-negative-eps"])
+    ("norm", {"points": 5}),
+    ("norm", {"jets": 3}),
+    ("norm", {"jets": [1, 2, 3]}),
+    ("norm", {"jets": [[1.0], [2.0], [3.0]]}),
+    ("norm", {"jets": [[["x"]], [[2.0]], [[3.0]]]}),
+    ("bounds", "--which", "sandwich", "--eps", "0.5", "--k", "1", "--gamma", "1.01", "--eta", "0.5"),
+    ("plan", _DEGENERATE_RADIUS, "--eps", "0.5", "--k1", "0.5", "--k2", "0.5", "--eta", "0.5"),
+    ("certify", _DEGENERATE_RADIUS, _DEGENERATE_RADIUS, "--theorem", "full",
+     "--eps", "0.5", "--k1", "0.5", "--k2", "0.5", "--eta", "0.5"),
+    ("bounds", "--which", "delta0-pointwise", "--eps", "2", "--eps0", "0", "--k", "2",
+     "--gamma", "1.5", "--l", "inf"),
+    ("plan", {}, "--eps", "0.5", "--k1", "1", "--k2", "1", "--mode", "pointwise",
+     "--eps0", "0", "--l", "inf"),
+    ("certify", {}, {}, "--theorem", "pointwise", "--eps", "1", "--eps0", "0",
+     "--k1", "1", "--k2", "1", "--l", "inf"),
+    ("certify", {}, {}, "--theorem", "pointwise", "--eps", "1", "--eps0", "0",
+     "--k1", "1", "--k2", "1", "--l", "nan"),
+    ("bounds", "--which", "delta0-pointwise", "--eps", "1", "--eps0", "0.1", "--k", "2",
+     "--gamma", "2.5", "--l", "1.5"),
+], ids=["dim-x", "gamma-0", "gamma-nan", "g-theta-above-rho", "sandwich-negative-eps",
+        "points-int", "jets-int", "site-entry-int", "level-entry-float", "coeff-string",
+        "sandwich-degenerate-radius", "plan-degenerate-radius", "certify-degenerate-radius",
+        "bounds-l-inf", "plan-l-inf", "certify-l-inf", "certify-l-nan", "bounds-l-fractional"])
 def test_bad_input_exits_two(argv, tmp_path, capsys):
-    if isinstance(argv[1], dict):
+    # a dict stands for the zero-jet fixture with those fields replaced
+    def jet_file(fields):
         data = json.load(open(fixture_path("zero-jet")))
-        data.update(argv[1])
+        data.update(fields)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
-        argv = (argv[0], str(p))
+        return str(p)
+
+    argv = [jet_file(a) if isinstance(a, dict) else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == EXIT_INPUT
     assert err.startswith("error: ")
@@ -196,6 +226,27 @@ def test_plan_grid_fixture(capsys):
     payload = json.loads(out)
     assert payload["N"] == len(payload["center_indices"])
     assert payload["cube_ceiling"]["d"] == 2
+
+
+def test_grid_fixture_plan_and_cover_pinned(capsys):
+    # the farthest-point order on the 50 x 50 grid, ties and all
+    def digest(indices):
+        return hashlib.sha256(json.dumps(indices).encode()).hexdigest()
+
+    grid = fixture_path("grid-unit-square")
+    code, out, _ = run(capsys, "plan", grid, "--eps", "0.5", "--k1", "1", "--k2", "1",
+                       "--eta", "0.5", "--cube", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["N"] == 2500
+    assert digest(payload["center_indices"]) == (
+        "511c62482508e1e536b3e78d30a83be8adccda9e1c30300a52ce07be65fb56bf"
+    )
+    code, out, _ = run(capsys, "cover", grid, "--delta", "0.05", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "02c296bf0042b727e9e293a80669df5bae5460fa717e5fb7bb48b8a22cef1fbc"
+    )
 
 
 def test_example_generates_files(tmp_path, capsys):

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipjet import cube_bound, diameter, greedy_cover, greedy_packing, is_cover
-from oracles import cover_check_oracle, diameter_oracle
+from lipjet.cli import fixture_path, load_jetfile
+from oracles import (
+    cover_check_oracle,
+    diameter_oracle,
+    greedy_cover_rows_oracle,
+    greedy_packing_oracle,
+    is_cover_rows_oracle,
+    pair_distance,
+)
 
 
 def grid_2d(n):
@@ -125,3 +133,59 @@ def test_greedy_cover_always_verifies(seed, delta):
     plan = greedy_cover(sites, delta)
     assert plan.verified
     assert len(set(plan.center_indices)) == len(plan.center_indices)
+
+
+@st.composite
+def site_sets(draw):
+    """Random sites, or distinct lattice sites (exact distance ties), in d <= 7."""
+    d = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.random((n, d))
+    side = int(math.ceil(n ** (1.0 / d))) + 1
+    cells = rng.choice(side**d, size=n, replace=False)
+    step = 2.0 ** -draw(st.integers(0, 3))
+    return np.stack(np.unravel_index(cells, (side,) * d), axis=1) * step
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_sets(), st.floats(1e-4, 1.2), st.booleans(), st.integers(0, 10_000))
+def test_pair_kernel_matches_reference_loops(sites, frac, at_pair_distance, pick):
+    # delta runs from "every site is a center" to "one center"; or it sits
+    # exactly on a pair distance, where closed balls and ties decide
+    n = sites.shape[0]
+    diam = diameter_oracle(sites)
+    assert diameter(sites) == diam
+    if at_pair_distance and n > 1:
+        i = pick % n
+        j = (i + 1 + (pick // n) % (n - 1)) % n  # any site but i
+        delta = pair_distance(sites[i], sites[j])
+    else:
+        delta = frac * (diam if diam > 0 else 1.0)
+
+    plan = greedy_cover(sites, delta)
+    assert plan.center_indices == greedy_cover_rows_oracle(sites, delta)
+    assert (plan.verified, plan.uncovered_witness) == (True, None)
+    for centers in (plan.center_indices, plan.center_indices[: len(plan.center_indices) // 2]):
+        assert is_cover(sites, centers, delta) == is_cover_rows_oracle(sites, centers, delta)
+    assert greedy_packing(sites, delta) == greedy_packing_oracle(sites, delta)
+
+
+def test_is_cover_witness_in_a_late_block():
+    # 1666 centers give row blocks of a few sites; the gap left by the
+    # missing center at 3000 is far past the first block
+    sites = np.arange(5000.0)[:, None]
+    centers = [c for c in range(0, 5000, 3) if c != 3000]
+    assert is_cover(sites, centers, 1.0) == (False, 2999)
+    assert is_cover_rows_oracle(sites, centers, 1.0) == (False, 2999)
+    assert is_cover(sites, centers + [3000], 1.0) == (True, None)
+
+
+def test_grid_fixture_cover_sizes():
+    sites = load_jetfile(fixture_path("grid-unit-square")).sites
+    plan = greedy_cover(sites, 0.05)
+    assert len(plan.center_indices) == 273 and plan.verified
+    assert plan.center_indices == greedy_cover_rows_oracle(sites, 0.05)
+    # below the grid spacing 1/49 every site is a center
+    assert sorted(greedy_cover(sites, 2.8e-4).center_indices) == list(range(2500))

@@ -20,6 +20,7 @@ from lipjet import (
     truncate,
     truncated_remainder,
 )
+from lipjet.covering import _BLOCK_ELEMS
 from lipjet.tensor_core import op_norm
 from oracles import lip_norm_oracle
 
@@ -62,6 +63,30 @@ def test_separation_check_names_first_close_pair():
     sites[49] = sites[2]
     with pytest.raises(ValueError, match=r"sites 2 and 49 "):
         LipFunction(1.0, sites, [[good]] * 50)
+
+
+def test_separation_check_across_row_blocks():
+    n = 400
+    step = _BLOCK_ELEMS // n  # rows per kernel block at this N
+    base = np.random.default_rng(11).random((n, 2))
+    good = SymForm(0, 2, 1, np.array([1.0]))
+
+    def build(*pairs):
+        sites = base.copy()
+        for i, j in pairs:
+            sites[j] = sites[i] + 1e-12
+        return LipFunction(1.0, sites, [[good]] * n)
+
+    assert build().n_sites == n
+    # the last row of the first block against the first row of the second
+    with pytest.raises(ValueError, match=rf"sites {step - 1} and {step} "):
+        build((step - 1, step))
+    # close pairs in two blocks: the earlier one in (i, j) order is named,
+    # even when its j is far to the right
+    with pytest.raises(ValueError, match=rf"sites 1 and {n - 1} "):
+        build((step + 1, step + 2), (1, n - 1))
+    with pytest.raises(ValueError, match=rf"sites {step} and {3 * step} "):
+        build((2 * step + 5, 2 * step + 6), (step, 3 * step))
 
 
 def test_separation_tolerance_is_relative():
