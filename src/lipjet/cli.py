@@ -296,6 +296,10 @@ def cmd_cover(args):
                 centers = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CLIError(f"cannot read centers file {args.check}: {exc}") from exc
+        if not isinstance(centers, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in centers
+        ):
+            raise CLIError(f"centers file {args.check} must hold a JSON list of integers")
         try:
             ok, witness = is_cover(f.sites, centers, args.delta)
         except (ValueError, IndexError) as exc:

@@ -72,7 +72,7 @@ def is_cover(sites, centers, delta):
     index, or None when the cover checks out.
     """
     sites = _as_sites(sites)
-    if delta < 0:
+    if not (delta >= 0):  # also rejects NaN, which no comparison below would catch
         raise ValueError("delta must be nonnegative")
     centers = [int(c) for c in centers]
     for c in centers:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering import _row_blocks, _sq_dists
-from .tensor_core import SymForm
+from .tensor_core import SymForm, _op_norms
 
 # Construction rejects site pairs closer than this (relative to the
 # ambient coordinate scale): Holder quotients blow up at coincident sites.
@@ -150,43 +150,39 @@ def truncated_remainder(f, q, l, x_idx, y_idx):
         raise ValueError(f"need 0 <= l <= q <= k, got l={l}, q={q}, k={f.k}")
     _check_site(f, x_idx)
     _check_site(f, y_idx)
-    base = [f.form(x_idx, s).coeffs for s in range(q + 1)]
+    base = [f.form(x_idx, s).coeffs[None] for s in range(q + 1)]
     step = f.sites[y_idx] - f.sites[x_idx]
-    rem = f.form(y_idx, l).coeffs - _expansion(base, l, step[None, :])[0]
+    rem = f.form(y_idx, l).coeffs - _expansion(base, l, step[None, None, :])[0, 0]
     return SymForm(l, f.dim, f.codim, rem)
 
 
 def _expansion(base, l, steps):
     """Sum of base[l+s][step^s] / s! over s = 0..len(base)-1-l, per step.
 
-    ``base[j]`` is the level-j coefficient array of one site, shape
-    (d,)*j + (m,); ``steps`` has shape (n, d). Returns the stack of
-    degree-l coefficient arrays, shape (n,) + (d,)*l + (m,).
+    ``base[j]`` stacks the level-j coefficient arrays of r base sites,
+    shape (r,) + (d,)*j + (m,); ``steps`` has shape (r, n, d), n steps
+    from each base site. Returns the degree-l coefficient arrays, shape
+    (r, n) + (d,)*l + (m,).
     """
-    acc = np.repeat(base[l][None], steps.shape[0], axis=0)
+    r, n, d = steps.shape
+    acc = np.repeat(base[l][:, None], n, axis=1)
     fact = 1.0
     for s in range(1, len(base) - l):
         fact *= s
-        term = np.tensordot(steps, base[l + s], axes=(1, 0))
+        tail = base[l + s].shape[2:]
+        term = np.matmul(steps, base[l + s].reshape(r, d, -1)).reshape((r, n) + tail)
         for _ in range(s - 1):
-            term = np.einsum("nd,nd...->n...", steps, term)
+            term = np.einsum("rnd,rnd...->rn...", steps, term)
         acc += term / fact
     return acc
-
-
-def _op_norms(stack):
-    """Operator norm of each form in a stack of shape (n,) + (d,)*l + (m,)."""
-    n, m = stack.shape[0], stack.shape[-1]
-    if m == 1:
-        return np.linalg.norm(stack.reshape(n, -1), axis=1)
-    return np.linalg.norm(stack.reshape(n, -1, m), ord=2, axis=(1, 2))
 
 
 def lip_norm(f, eta):
     """Exact Lip(eta) norm of the truncation of f to level q = ceil(eta)-1.
 
-    The coefficients of each level are stacked once. Each base site i
-    then gives one row per level: the remainders against every site j
+    The coefficients of each level are stacked once. Blocks of base
+    sites i (sized like the covering module's pair-distance blocks) then
+    give one (r, N) table per level: the remainders against every site j
     in one batch, their operator norms divided by ||y_j - x_i||^(eta-l).
     Every witness is the first maximum in index order: the site for a
     pointwise sup, the ordered pair (i, j) for a Holder sup, which is
@@ -196,7 +192,7 @@ def lip_norm(f, eta):
     if not (0 < eta <= f.gamma):
         raise ValueError(f"eta must lie in (0, {f.gamma}], got {eta}")
     q = level_count(eta)
-    n = f.n_sites
+    n, d, m = f.n_sites, f.dim, f.codim
     levels = [np.stack([f.form(i, l).coeffs for i in range(n)]) for l in range(q + 1)]
 
     report = NormReport(eta=eta)
@@ -208,18 +204,20 @@ def lip_norm(f, eta):
 
     report.holder = [0.0] * (q + 1)
     report.holder_witness = [None] * (q + 1)
-    for i in range(n):
-        steps = f.sites - f.sites[i]
-        gaps = np.linalg.norm(steps, axis=1)
-        gaps[i] = 1.0
-        base = [stack[i] for stack in levels]
+    for start, stop in _row_blocks(n, n * d**q * m):
+        rows = np.arange(stop - start)
+        steps = f.sites[None] - f.sites[start:stop, None]
+        gaps = np.sqrt(_sq_dists(f.sites[start:stop], f.sites))
+        gaps[rows, start + rows] = 1.0
+        base = [stack[start:stop] for stack in levels]
         for l in range(q + 1):
-            quot = _op_norms(levels[l] - _expansion(base, l, steps)) / gaps ** (eta - l)
-            quot[i] = 0.0
-            j = int(np.argmax(quot))
-            if quot[j] > report.holder[l]:
-                report.holder[l] = float(quot[j])
-                report.holder_witness[l] = (i, j)
+            rem = levels[l][None] - _expansion(base, l, steps)
+            quot = _op_norms(rem.reshape(gaps.size, -1, m)).reshape(gaps.shape) / gaps ** (eta - l)
+            quot[rows, start + rows] = 0.0
+            i, j = np.unravel_index(int(np.argmax(quot)), quot.shape)
+            if quot[i, j] > report.holder[l]:
+                report.holder[l] = float(quot[i, j])
+                report.holder_witness[l] = (start + int(i), int(j))
 
     report.recompute_overall()
     return report
@@ -231,8 +229,8 @@ def proposal_eval(f, x_idx, y):
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != f.dim:
         raise ValueError("point length does not match jet dimension")
-    base = [f.form(x_idx, s).coeffs for s in range(f.k + 1)]
-    return _expansion(base, 0, (y - f.sites[x_idx])[None, :])[0]
+    base = [f.form(x_idx, s).coeffs[None] for s in range(f.k + 1)]
+    return _expansion(base, 0, (y - f.sites[x_idx])[None, None, :])[0, 0]
 
 
 def holder_estimate_check(f, x_idx, w_idx, y, z, norm=None):

@@ -156,18 +156,31 @@ def contract(form, direction, times):
     return SymForm(form.degree - times, form.dim, form.codim, cur)
 
 
-def op_norm(form):
-    """Operator norm: largest singular value of the (d^l, m) matrix.
+def _op_norms(stack):
+    """Operator norm of each form in a stack of shape (n,) + (d,)*l + (m,).
 
-    For m = 1 this is just the Euclidean norm of the flattened
-    coefficients, which we use directly to avoid an SVD.
+    The norm is the largest singular value of the form's (d^l, m)
+    matrix. For m = 1 that is the Euclidean norm of the coefficients.
+    Otherwise each matrix B is first divided by its largest |entry| s,
+    which keeps coefficients near 1e+-150 and beyond from overflowing or
+    underflowing when squared; the norm is s times the Euclidean norm of
+    a single row, or s * sqrt(lambda_max) of the smaller of B^T B and
+    B B^T.
     """
-    mat = form.flat()
-    if mat.size == 0:
-        return 0.0
-    if form.codim == 1:
-        return float(np.linalg.norm(mat.ravel()))
-    if not np.any(mat):
-        return 0.0
-    return float(np.linalg.norm(mat, ord=2))
+    n, m = stack.shape[0], stack.shape[-1]
+    if m == 1:
+        return np.linalg.norm(stack.reshape(n, -1), axis=1)
+    mat = stack.reshape(n, -1, m)
+    s = np.abs(mat).max(axis=(1, 2))
+    mat = mat / np.where(s > 0.0, s, 1.0)[:, None, None]
+    rows = mat.shape[1]
+    if rows == 1:
+        return s * np.linalg.norm(mat[:, 0], axis=1)
+    gram = mat.transpose(0, 2, 1) @ mat if m <= rows else mat @ mat.transpose(0, 2, 1)
+    return s * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
+def op_norm(form):
+    """Operator norm: largest singular value of the (d^l, m) matrix."""
+    return float(_op_norms(form.coeffs[None])[0])
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ def test_malformed_jetfile_diagnostics(tmp_path, capsys):
     assert "points" in err
 
 
+class Centers(NamedTuple):
+    """A --check centres file holding this JSON text."""
+
+    text: str
+
+
 # gamma = 1.01 with eta = 0.5: the sandwich constants' single-anchor radius is 0
 _DEGENERATE_RADIUS = {"gamma": 1.01, "jets": [[[0.0], [0.0]]] * 3}
 
@@ -102,10 +109,18 @@ _DEGENERATE_RADIUS = {"gamma": 1.01, "jets": [[[0.0], [0.0]]] * 3}
      "--k1", "1", "--k2", "1", "--l", "nan"),
     ("bounds", "--which", "delta0-pointwise", "--eps", "1", "--eps0", "0.1", "--k", "2",
      "--gamma", "2.5", "--l", "1.5"),
+    ("cover", {}, "--delta", "nan", "--check", Centers("[0]")),
+    ("cover", {}, "--delta", "0.5", "--check", Centers("5")),
+    ("cover", {}, "--delta", "0.5", "--check", Centers("[null]")),
+    ("cover", {}, "--delta", "0.5", "--check", Centers("[1.5]")),
+    ("cover", {}, "--delta", "0.5", "--check", Centers("[true]")),
+    ("cover", {}, "--delta", "0.5", "--check", Centers('{"0": 1}')),
 ], ids=["dim-x", "gamma-0", "gamma-nan", "g-theta-above-rho", "sandwich-negative-eps",
         "points-int", "jets-int", "site-entry-int", "level-entry-float", "coeff-string",
         "sandwich-degenerate-radius", "plan-degenerate-radius", "certify-degenerate-radius",
-        "bounds-l-inf", "plan-l-inf", "certify-l-inf", "certify-l-nan", "bounds-l-fractional"])
+        "bounds-l-inf", "plan-l-inf", "certify-l-inf", "certify-l-nan", "bounds-l-fractional",
+        "cover-delta-nan", "centers-int", "centers-null", "centers-float", "centers-bool",
+        "centers-object"])
 def test_bad_input_exits_two(argv, tmp_path, capsys):
     # a dict stands for the zero-jet fixture with those fields replaced
     def jet_file(fields):
@@ -115,7 +130,15 @@ def test_bad_input_exits_two(argv, tmp_path, capsys):
         p.write_text(json.dumps(data))
         return str(p)
 
-    argv = [jet_file(a) if isinstance(a, dict) else a for a in argv]
+    def centers_file(doc):
+        p = tmp_path / "centers.json"
+        p.write_text(doc.text)
+        return str(p)
+
+    argv = [
+        jet_file(a) if isinstance(a, dict) else centers_file(a) if isinstance(a, Centers) else a
+        for a in argv
+    ]
     code, _, err = run(capsys, *argv)
     assert code == EXIT_INPUT
     assert err.startswith("error: ")

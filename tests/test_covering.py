@@ -45,6 +45,13 @@ def test_is_cover_index_validation():
         is_cover(sites, [0], -0.1)
 
 
+def test_is_cover_rejects_nan_delta():
+    sites = np.array([[0.0], [5.0]])
+    with pytest.raises(ValueError):
+        is_cover(sites, [0], float("nan"))
+    assert is_cover(sites, [0], float("inf")) == (True, None)
+
+
 def test_greedy_cover_starts_at_zero_and_verifies():
     rng = np.random.default_rng(200)
     sites = rng.random((60, 2))

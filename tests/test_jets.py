@@ -20,8 +20,9 @@ from lipjet import (
     truncate,
     truncated_remainder,
 )
+from lipjet import covering
 from lipjet.covering import _BLOCK_ELEMS
-from lipjet.tensor_core import op_norm
+from lipjet.tensor_core import _op_norms, op_norm
 from oracles import lip_norm_oracle
 
 
@@ -256,16 +257,65 @@ def test_norm_triangle_inequality(seed):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 @pytest.mark.parametrize("d,m,k", [(1, 1, 0), (2, 1, 1), (3, 1, 2), (2, 2, 2), (1, 2, 1)])
-def test_lip_norm_matches_pair_loop_oracle(d, m, k, n):
+def test_lip_norm_matches_pair_loop_oracle(d, m, k, n, monkeypatch):
     f = random_jet(np.random.default_rng(100 * n + 10 * d + k + m), d, m, k, n)
     forms = [[f.form(i, l).coeffs for l in range(k + 1)] for i in range(n)]
     for eta in (f.gamma, f.gamma - 1.0 if k > 0 else f.gamma / 2.0):
-        rep = lip_norm(f, eta)
         pointwise, pointwise_witness, holder, holder_witness = lip_norm_oracle(f.sites, forms, eta)
-        assert rep.pointwise == pytest.approx(pointwise, rel=1e-12)
-        assert rep.holder == pytest.approx(holder, rel=1e-12)
-        assert rep.pointwise_witness == pointwise_witness
-        assert rep.holder_witness == holder_witness
+        # the default row blocks, then blocks of three base sites, so that
+        # N = 7 and N = 30 span several blocks
+        for block_rows in (None, 3):
+            with monkeypatch.context() as mp:
+                if block_rows:
+                    cols = n * d ** level_count(eta) * m
+                    mp.setattr(covering, "_BLOCK_ELEMS", block_rows * cols)
+                rep = lip_norm(f, eta)
+            assert rep.pointwise == pytest.approx(pointwise, rel=1e-12)
+            assert rep.holder == pytest.approx(holder, rel=1e-12)
+            assert rep.pointwise_witness == pointwise_witness
+            assert rep.holder_witness == holder_witness
+
+
+def test_lip_norm_witness_across_row_blocks():
+    # d = 1, m = 1, eta = 1: the quotient is |v_j - v_i| / |j - i| on
+    # integer sites, exact in floating point, and a block has step rows
+    n = 200
+    step = _BLOCK_ELEMS // n
+    assert 0 < step < n // 2
+
+    def holder(*bumps):
+        values = np.zeros(n)
+        values[list(bumps)] = 1.0
+        jets = [[SymForm(0, 1, 1, np.array([v]))] for v in values]
+        rep = lip_norm(LipFunction(1.0, np.arange(float(n))[:, None], jets), 1.0)
+        return rep.holder, rep.holder_witness
+
+    # the maximum lies only past the first block
+    assert holder(step + 5) == ([1.0], [(step + 4, step + 5)])
+    # an exact tie between blocks: the pair of the earlier block is named
+    assert holder(1, step + 5) == ([1.0], [(0, 1)])
+
+
+@pytest.mark.parametrize("d,l,m", [(1, 0, 2), (3, 1, 2), (2, 1, 2), (2, 1, 3), (2, 2, 3)])
+def test_op_norms_at_extreme_scales(d, l, m):
+    rng = np.random.default_rng(10 * d + l + m)
+    scales = [1.0, 1e150, 1e-150, 1e200, 1e-200, 0.0]
+    stack = np.stack([rng.standard_normal((d,) * l + (m,)) * c for c in scales])
+    norms = _op_norms(stack)
+    for form, norm in zip(stack, norms):
+        assert norm == pytest.approx(np.linalg.norm(form.reshape(-1, m), ord=2), rel=1e-12)
+    assert norms[-1] == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_zero_jet_has_zero_norm_and_no_witness(m):
+    jets = [[SymForm.zero(l, 2, m) for l in range(3)] for _ in range(5)]
+    f = LipFunction(2.5, np.random.default_rng(5).random((5, 2)), jets)
+    rep = lip_norm(f, f.gamma)
+    assert rep.holder == [0.0, 0.0, 0.0]
+    assert rep.holder_witness == [None, None, None]
+    assert rep.pointwise == [0.0, 0.0, 0.0]
+    assert rep.overall == 0.0
 
 
 def test_lip_norm_pinned_case():
