@@ -9,6 +9,7 @@ rejection, 4 soundness violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .bounds import (
     sandwich_constants,
 )
 from .covering import greedy_cover, is_cover
-from .jets import LipFunction, level_count, lip_norm
+from .jets import LipFunction, _check_separation, _site_array, level_count, lip_norm
 from .sandwich import (
     certify_full,
     certify_pointwise,
@@ -37,7 +38,7 @@ from .sandwich import (
     counterexample,
     plan_approximation,
 )
-from .tensor_core import SymForm
+from .tensor_core import MAX_DENSE, SymForm, _symmetrize
 
 SCHEMA = "lipjet-jet/1"
 
@@ -60,19 +61,14 @@ class CLIError(Exception):
 
 
 def jet_to_dict(f):
+    flat = [level.reshape(f.n_sites, -1).tolist() for level in f.levels]
     return {
         "schema": SCHEMA,
         "dim": f.dim,
         "codim": f.codim,
         "gamma": f.gamma,
-        "points": [[float(c) for c in p] for p in f.sites],
-        "jets": [
-            [
-                [float(v) for v in f.form(i, l).coeffs.reshape(-1)]
-                for l in range(f.k + 1)
-            ]
-            for i in range(f.n_sites)
-        ],
+        "points": f.sites.tolist(),
+        "jets": [list(per_site) for per_site in zip(*flat)],
     }
 
 
@@ -87,50 +83,72 @@ def dict_to_jet(data):
         if isinstance(val, bool) or not isinstance(val, int) or val < 1:
             raise CLIError(f"'{key}' must be a positive integer, got {val!r}")
     gamma = data["gamma"]
-    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not (
-        math.isfinite(gamma) and gamma > 0
-    ):
+    # the chained comparison also rejects NaN, and ints too large for a float
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0 < gamma <= sys.float_info.max:
         raise CLIError(f"'gamma' must be a finite positive number, got {gamma!r}")
     d, m, gamma = data["dim"], data["codim"], float(gamma)
     k = level_count(gamma)
-    points = data["points"]
-    raw_jets = data["jets"]
+    points, raw_jets = data["points"], data["jets"]
     for key in ("points", "jets"):
         if not isinstance(data[key], list):
             raise CLIError(f"'{key}' must be a list, got {type(data[key]).__name__}")
     if len(points) != len(raw_jets):
-        raise CLIError(
-            f"points ({len(points)}) and jets ({len(raw_jets)}) have different lengths"
-        )
-    jets = []
+        raise CLIError(f"points ({len(points)}) and jets ({len(raw_jets)}) have different lengths")
+    levels = _level_arrays(raw_jets, k, d, m)
+    if levels is None:
+        _raise_first_bad_form(raw_jets, gamma, k, d, m)
+    try:
+        sites = _site_array(points)
+        if sites.shape[1] != d:
+            raise ValueError(f"points have {sites.shape[1]} coordinates, expected dim = {d}")
+        _check_separation(sites)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise CLIError(str(exc)) from exc
+    return LipFunction._from_levels(gamma, sites, levels)
+
+
+def _level_arrays(raw_jets, k, d, m):
+    """The jets' coefficients as one symmetrized (N,) + (d,)*l + (m,) array
+    per level; None if there is no site, or any entry is malformed,
+    non-finite or not symmetric within LOAD_SYM_TOL."""
+    n = len(raw_jets)
+    if n == 0 or d**k > MAX_DENSE or not all(isinstance(s, list) and len(s) == k + 1 for s in raw_jets):
+        return None
+    levels = []
+    for l in range(k + 1):
+        try:
+            arr = np.array([per_site[l] for per_site in raw_jets], dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            return None
+        if arr.shape != (n, d**l * m) or not np.isfinite(arr).all():
+            return None
+        sym, drift = _symmetrize(arr.reshape((n,) + (d,) * l + (m,)), l)
+        if (drift > LOAD_SYM_TOL).any():
+            return None
+        levels.append(sym)
+    return levels
+
+
+def _raise_first_bad_form(raw_jets, gamma, k, d, m):
+    """Name the first jets[i][l], in (i, l) order, that _level_arrays rejects."""
     for i, per_site in enumerate(raw_jets):
         if not isinstance(per_site, list):
             raise CLIError(f"jets[{i}] must be a list of levels, got {type(per_site).__name__}")
         if len(per_site) != k + 1:
-            raise CLIError(
-                f"jets[{i}]: expected {k + 1} levels for gamma={gamma}, got {len(per_site)}"
-            )
-        forms = []
+            raise CLIError(f"jets[{i}]: expected {k + 1} levels for gamma={gamma}, got {len(per_site)}")
         for l, flat in enumerate(per_site):
             want = d**l * m
             if not isinstance(flat, list):
-                raise CLIError(
-                    f"jets[{i}][{l}] must be a list of coefficients, got {type(flat).__name__}"
-                )
+                raise CLIError(f"jets[{i}][{l}] must be a list of coefficients, got {type(flat).__name__}")
             if len(flat) != want:
-                raise CLIError(
-                    f"jets[{i}][{l}]: expected {want} coefficients, got {len(flat)}"
-                )
+                raise CLIError(f"jets[{i}][{l}]: expected {want} coefficients, got {len(flat)}")
             try:
-                coeffs = np.array(flat, dtype=float).reshape((d,) * l + (m,))
-                forms.append(SymForm(l, d, m, coeffs, sym_tol=LOAD_SYM_TOL))
-            except (ValueError, TypeError) as exc:
+                coeffs = np.array(flat, dtype=float)
+                if coeffs.ndim != 1:
+                    raise ValueError("coefficients must be numbers")
+                SymForm(l, d, m, coeffs, sym_tol=LOAD_SYM_TOL)
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise CLIError(f"jets[{i}][{l}]: {exc}") from exc
-        jets.append(forms)
-    try:
-        return LipFunction(gamma, points, jets)
-    except (ValueError, TypeError) as exc:
-        raise CLIError(str(exc)) from exc
 
 
 def load_jetfile(path):
@@ -169,14 +187,9 @@ def _emit(args, human_lines, payload):
             print(line)
 
 
-def _report_payload(rep):
-    return {
-        "name": rep.name,
-        "value": rep.value,
-        "attained_at": rep.attained_at,
-        "note": rep.note,
-        "extra": {k: v for k, v in rep.extra.items()},
-    }
+def _fields(obj, *names):
+    """The named attributes of a report, in that order, for a JSON payload."""
+    return {name: getattr(obj, name) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +210,47 @@ def cmd_norm(args):
             f"at pair {rep.holder_witness[l]}"
         )
     lines.append(f"  overall: {rep.overall:.12g}")
-    payload = {
-        "eta": rep.eta,
-        "pointwise": rep.pointwise,
-        "pointwise_witness": rep.pointwise_witness,
-        "holder": rep.holder,
-        "holder_witness": [list(w) if w else None for w in rep.holder_witness],
-        "overall": rep.overall,
-    }
-    _emit(args, lines, payload)
+    _emit(args, lines, dataclasses.asdict(rep))
     return EXIT_OK
 
 
-_BOUNDS_FLAGS = {
-    "g": ("rho", "theta", "diam"),
-    "h": ("rho", "theta", "diam"),
-    "nesting": ("rho", "theta", "diam"),
-    "local1": ("rho", "theta", "a", "r0", "delta"),
-    "local2": ("rho", "theta", "a", "r0", "delta"),
-    "delta-star": ("rho", "a", "r0"),
-    "delta0-pointwise": ("eps", "eps0", "k", "gamma", "l"),
-    "delta0-single": ("eps", "eps0", "k", "gamma", "eta"),
-    "sandwich": ("eps", "k", "gamma", "eta"),
+def _level_query(a):
+    return BoundQuery(rho=a.rho, theta=a.theta, l=0 if a.l is None else _level_flag(a.l), diam=a.diam)
+
+
+def _local_query(a):
+    return BoundQuery(rho=a.rho, theta=a.theta, A=a.a, r0=a.r0, delta=a.delta)
+
+
+# --which: the flags it needs and the library call behind it, which returns
+# a BoundReport, or SandwichConstants for sandwich
+_BOUNDS = {
+    "g": (("rho", "theta", "diam"), lambda a: g_const(_level_query(a))),
+    "h": (("rho", "theta", "diam"), lambda a: h_const(_level_query(a))),
+    "nesting": (("rho", "theta", "diam"), lambda a: nesting_factor(a.rho, a.theta, a.diam)),
+    "local1": (("rho", "theta", "a", "r0", "delta"), lambda a: local_bound_I(_local_query(a))),
+    "local2": (("rho", "theta", "a", "r0", "delta"), lambda a: local_bound_II(_local_query(a))),
+    "delta-star": (("rho", "a", "r0"), lambda a: delta_star(a.a, a.r0, a.rho)),
+    "delta0-pointwise": (
+        ("eps", "eps0", "k", "gamma", "l"),
+        lambda a: delta0_pointwise(a.eps, a.eps0, a.k, a.gamma, _level_flag(a.l)),
+    ),
+    "delta0-single": (
+        ("eps", "eps0", "k", "gamma", "eta"),
+        lambda a: delta0_single_point(a.eps, a.eps0, a.k, a.gamma, a.eta),
+    ),
+    "sandwich": (("eps", "k", "gamma", "eta"), lambda a: sandwich_constants(a.eps, a.k, a.gamma, a.eta)),
 }
 
 
 def cmd_bounds(args):
     which = args.which
-    missing = [f"--{name}" for name in _BOUNDS_FLAGS[which] if getattr(args, name.replace("-", "_")) is None]
+    flags, compute = _BOUNDS[which]
+    missing = [f"--{name}" for name in flags if getattr(args, name) is None]
     if missing:
         raise CLIError(f"--which {which} requires {', '.join(missing)}")
     try:
-        rep = _bounds_result(args, which)
+        rep = compute(args)
     except (ValueError, ArithmeticError) as exc:
         raise CLIError(str(exc)) from exc
 
@@ -238,13 +260,7 @@ def cmd_bounds(args):
             f"eps0      = {rep.eps0:.12g}",
             f"theta_aux = {rep.theta_aux:.12g}",
         ]
-        payload = {
-            "name": "sandwich_constants",
-            "delta0": rep.delta0,
-            "eps0": rep.eps0,
-            "theta_aux": rep.theta_aux,
-        }
-        _emit(args, lines, payload)
+        _emit(args, lines, {"name": "sandwich_constants", **dataclasses.asdict(rep)})
         return EXIT_OK
 
     lines = [f"{rep.name}: {rep.value:.12g}"]
@@ -254,31 +270,8 @@ def cmd_bounds(args):
         lines.append(f"  note: {rep.note}")
     for key, val in rep.extra.items():
         lines.append(f"  {key}: {val}")
-    _emit(args, lines, _report_payload(rep))
+    _emit(args, lines, _fields(rep, "name", "value", "attained_at", "note", "extra"))
     return EXIT_OK
-
-
-def _bounds_result(args, which):
-    """The library call behind ``bounds --which``: a BoundReport, or
-    SandwichConstants for ``sandwich``."""
-    if which in ("g", "h"):
-        query = BoundQuery(rho=args.rho, theta=args.theta, l=args.l or 0, diam=args.diam)
-        return g_const(query) if which == "g" else h_const(query)
-    if which == "nesting":
-        return nesting_factor(args.rho, args.theta, args.diam)
-    if which == "local1":
-        query = BoundQuery(rho=args.rho, theta=args.theta, A=args.a, r0=args.r0, delta=args.delta)
-        return local_bound_I(query)
-    if which == "local2":
-        query = BoundQuery(rho=args.rho, theta=args.theta, A=args.a, r0=args.r0, delta=args.delta)
-        return local_bound_II(query)
-    if which == "delta-star":
-        return delta_star(args.a, args.r0, args.rho)
-    if which == "delta0-pointwise":
-        return delta0_pointwise(args.eps, args.eps0, args.k, args.gamma, _level_flag(args.l))
-    if which == "delta0-single":
-        return delta0_single_point(args.eps, args.eps0, args.k, args.gamma, args.eta)
-    return sandwich_constants(args.eps, args.k, args.gamma, args.eta)
 
 
 def _level_flag(value):
@@ -337,33 +330,33 @@ def _parse_centers(raw, n):
         raise CLIError(f"--centers must be 'all' or comma-separated indices: {raw!r}") from exc
 
 
+# --theorem: the flags it needs
+_THEOREM_FLAGS = {
+    "pointwise": ("eps", "eps0", "k1", "k2", "l"),
+    "single-point": ("eps", "eps0", "k1", "k2", "eta"),
+    "full": ("eps", "k1", "k2", "eta"),
+}
+
+
 def cmd_certify(args):
     f = load_jetfile(args.psi)
     g = load_jetfile(args.phi)
+    for name in _THEOREM_FLAGS[args.theorem]:
+        if getattr(args, name) is None:
+            raise CLIError(f"--theorem {args.theorem} requires --{name}")
     try:
         if args.theorem == "pointwise":
-            for name in ("eps", "eps0", "k1", "k2", "l"):
-                if getattr(args, name) is None:
-                    raise CLIError(f"--theorem pointwise requires --{name}")
             B = _parse_centers(args.centers, f.n_sites)
             cert = certify_pointwise(
                 f, g, B, args.eps, args.eps0, args.k1, args.k2, _level_flag(args.l)
             )
         elif args.theorem == "single-point":
-            for name in ("eps", "eps0", "k1", "k2", "eta"):
-                if getattr(args, name) is None:
-                    raise CLIError(f"--theorem single-point requires --{name}")
             cert = certify_single_point(
                 f, g, args.anchor or 0, args.eps, args.eps0, args.k1, args.k2, args.eta
             )
-        elif args.theorem == "full":
-            for name in ("eps", "k1", "k2", "eta"):
-                if getattr(args, name) is None:
-                    raise CLIError(f"--theorem full requires --{name}")
+        else:
             B = _parse_centers(args.centers, f.n_sites)
             cert = certify_full(f, g, B, args.eps, args.k1, args.k2, args.eta)
-        else:
-            raise CLIError(f"unknown theorem {args.theorem!r}")
     except (ValueError, IndexError) as exc:
         # hypothesis-parameter violation: rejected before any checking
         print(f"rejected: {exc}", file=sys.stderr)
@@ -381,16 +374,10 @@ def cmd_certify(args):
     ]
     for name, ok, margin in cert.hypothesis_report["checks"]:
         lines.append(f"  check {name}: {'ok' if ok else 'FAILED'} (margin {margin})")
-    payload = {
-        "theorem": cert.theorem,
-        "inputs": cert.inputs,
-        "delta0": cert.delta0,
-        "valid": cert.valid,
-        "guaranteed_bound": cert.guaranteed_bound,
-        "measured_value": cert.measured_value,
-        "conclusion_holds": cert.conclusion_holds,
-        "checks": [[name, ok, margin] for name, ok, margin in cert.hypothesis_report["checks"]],
-    }
+    payload = _fields(
+        cert, "theorem", "inputs", "delta0", "valid", "guaranteed_bound", "measured_value", "conclusion_holds"
+    )
+    payload["checks"] = cert.hypothesis_report["checks"]
     _emit(args, lines, payload)
     if not cert.valid:
         return EXIT_REJECTED
@@ -423,23 +410,12 @@ def cmd_plan(args):
         f"centers needed: {plan.N}",
         f"center indices: {plan.center_indices}",
     ]
-    payload = {
-        "mode": plan.mode,
-        "delta0": plan.delta0,
-        "eps0": plan.eps0,
-        "N": plan.N,
-        "center_indices": plan.center_indices,
-    }
+    payload = _fields(plan, "mode", "delta0", "eps0", "N", "center_indices")
     if plan.cube_ceiling is not None:
         lines.append(
             f"unit-cube ceiling: m = {plan.cube_ceiling.m} at delta0 {plan.cube_ceiling.delta0}"
         )
-        payload["cube_ceiling"] = {
-            "d": plan.cube_ceiling.d,
-            "delta0": plan.cube_ceiling.delta0,
-            "bound": plan.cube_ceiling.bound,
-            "m": plan.cube_ceiling.m,
-        }
+        payload["cube_ceiling"] = _fields(plan.cube_ceiling, "d", "delta0", "bound", "m")
     _emit(args, lines, payload)
     return EXIT_OK
 
@@ -461,42 +437,31 @@ _EXAMPLE_ETA = {
 
 
 def cmd_example(args):
-    params = {}
-    if args.k0 is not None:
-        params["K0"] = args.k0
-    if args.eps is not None:
-        params["eps"] = args.eps
-    if args.n is not None:
-        params["N"] = args.n
-    if args.eps0 is not None:
-        params["eps0"] = args.eps0
-    if args.a is not None:
-        params["A"] = args.a
+    given = (("K0", args.k0), ("eps", args.eps), ("N", args.n), ("eps0", args.eps0), ("A", args.a))
+    params = {key: value for key, value in given if value is not None}
     try:
         f, g, expected = counterexample(_EXAMPLE_KINDS[args.kind], **params)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
-    os.makedirs(args.out, exist_ok=True)
-    psi_path = os.path.join(args.out, f"{args.kind}-psi.json")
-    save_jetfile(f, psi_path)
-    written = [psi_path]
-    if g is not None:
-        phi_path = os.path.join(args.out, f"{args.kind}-phi.json")
-        save_jetfile(g, phi_path)
-        written.append(phi_path)
+    jets = {"psi": f} if g is None else {"psi": f, "phi": g}
+    written = [os.path.join(args.out, f"{args.kind}-{part}.json") for part in (*jets, "expected")]
     expectation = {
         "kind": args.kind,
         "params": params,
         "expected_value": expected,
         "eta": _EXAMPLE_ETA[args.kind],
-        "files": [os.path.basename(p) for p in written],
+        "files": [os.path.basename(p) for p in written[:-1]],
     }
-    exp_path = os.path.join(args.out, f"{args.kind}-expected.json")
-    with open(exp_path, "w", encoding="utf-8") as fh:
-        json.dump(expectation, fh, indent=1)
-        fh.write("\n")
-    written.append(exp_path)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for jet, path in zip(jets.values(), written):
+            save_jetfile(jet, path)
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            json.dump(expectation, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise CLIError(f"cannot write to {args.out}: {exc}") from exc
     _emit(args, [f"wrote {p}" for p in written], {"written": written, "expected_value": expected})
     return EXIT_OK
 
@@ -522,7 +487,7 @@ def build_parser():
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("bounds", help="evaluate one of the explicit constants")
-    p.add_argument("--which", required=True, choices=sorted(_BOUNDS_FLAGS))
+    p.add_argument("--which", required=True, choices=sorted(_BOUNDS))
     for flag, typ in (
         ("--rho", float), ("--theta", float), ("--diam", float), ("--a", float),
         ("--r0", float), ("--delta", float), ("--eps", float), ("--eps0", float),

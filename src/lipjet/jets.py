@@ -28,19 +28,45 @@ def level_count(gamma):
     return int(math.ceil(gamma)) - 1
 
 
-class LipFunction:
-    """A jet family (psi^(0), ..., psi^(k)) over finite sites in R^d."""
+def _site_array(sites):
+    """Sites as a float (N, d) array with N >= 1 and finite coordinates."""
+    sites = np.array(sites, dtype=float)
+    if sites.ndim != 2 or sites.shape[0] < 1:
+        raise ValueError("sites must be a nonempty (N, d) array")
+    if not np.all(np.isfinite(sites)):
+        raise ValueError("site coordinates must be finite")
+    return sites
 
-    __slots__ = ("dim", "codim", "gamma", "k", "sites", "jets")
+
+def _check_separation(sites):
+    """Raise for the first site pair (i, j > i) closer than the tolerance."""
+    n = sites.shape[0]
+    tol = MIN_SITE_SEPARATION * max(1.0, float(np.max(np.abs(sites))))
+    for start, stop in _row_blocks(n - 1, n):
+        # row r is site start + r, column c is site start + 1 + c; a pair
+        # j < i repeats one from an earlier row of the block, so the first
+        # close entry in row-major order is the first pair j > i
+        sq = _sq_dists(sites[start:stop], sites[start + 1:])
+        rows = np.arange(1, stop - start)
+        sq[rows, rows - 1] = np.inf
+        if np.sqrt(sq.min()) < tol:
+            r, c = divmod(int(np.argmax(np.sqrt(sq) < tol)), sq.shape[1])
+            raise ValueError(f"sites {start + r} and {start + 1 + c} are closer than the separation tolerance")
+
+
+class LipFunction:
+    """A jet family (psi^(0), ..., psi^(k)) over finite sites in R^d.
+
+    ``levels[l]`` holds the level-l forms of all sites as one read-only
+    (N,) + (d,)*l + (m,) array; ``form(i, l)`` views one of them.
+    """
+
+    __slots__ = ("dim", "codim", "gamma", "k", "sites", "levels")
 
     def __init__(self, gamma, sites, jets):
         gamma = float(gamma)
         k = level_count(gamma)
-        sites = np.asarray(sites, dtype=float)
-        if sites.ndim != 2 or sites.shape[0] < 1:
-            raise ValueError("sites must be a nonempty (N, d) array")
-        if not np.all(np.isfinite(sites)):
-            raise ValueError("site coordinates must be finite")
+        sites = _site_array(sites)
         n, d = sites.shape
 
         jets = [list(per_site) for per_site in jets]
@@ -65,26 +91,24 @@ class LipFunction:
                     codim = form.codim
                 elif form.codim != codim:
                     raise ValueError("all forms must share the same codim")
+        _check_separation(sites)
+        self._fill(gamma, sites, [np.array([per_site[l].coeffs for per_site in jets]) for l in range(k + 1)])
 
-        tol = MIN_SITE_SEPARATION * max(1.0, float(np.max(np.abs(sites))))
-        for start, stop in _row_blocks(n - 1, n):
-            # row r is site start + r, column c is site start + 1 + c;
-            # triu keeps c >= r, i.e. j > i
-            close = np.triu(np.sqrt(_sq_dists(sites[start:stop], sites[start + 1:])) < tol)
-            if close.any():
-                r, c = divmod(int(np.argmax(close)), close.shape[1])
-                raise ValueError(
-                    f"sites {start + r} and {start + 1 + c} are closer than "
-                    f"the separation tolerance"
-                )
+    @classmethod
+    def _from_levels(cls, gamma, sites, levels):
+        """A LipFunction over sites and level arrays that have passed the
+        checks already (or are the same sites, or a subset of separated
+        ones): nothing is checked or copied."""
+        f = object.__new__(cls)
+        f._fill(gamma, sites, levels)
+        return f
 
-        sites.setflags(write=False)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "jets", jets)
+    def _fill(self, gamma, sites, levels):
+        for arr in (sites, *levels):
+            arr.setflags(write=False)
+        values = (sites.shape[1], levels[0].shape[-1], gamma, level_count(gamma), sites, tuple(levels))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LipFunction is immutable")
@@ -94,7 +118,7 @@ class LipFunction:
         return self.sites.shape[0]
 
     def form(self, site_idx, level):
-        return self.jets[site_idx][level]
+        return SymForm._view(self.dim, self.levels[level][site_idx])
 
     def __repr__(self):
         return (
@@ -150,9 +174,9 @@ def truncated_remainder(f, q, l, x_idx, y_idx):
         raise ValueError(f"need 0 <= l <= q <= k, got l={l}, q={q}, k={f.k}")
     _check_site(f, x_idx)
     _check_site(f, y_idx)
-    base = [f.form(x_idx, s).coeffs[None] for s in range(q + 1)]
+    base = [level[x_idx : x_idx + 1] for level in f.levels[: q + 1]]
     step = f.sites[y_idx] - f.sites[x_idx]
-    rem = f.form(y_idx, l).coeffs - _expansion(base, l, step[None, None, :])[0, 0]
+    rem = f.levels[l][y_idx] - _expansion(base, l, step[None, None, :])[0, 0]
     return SymForm(l, f.dim, f.codim, rem)
 
 
@@ -180,10 +204,10 @@ def _expansion(base, l, steps):
 def lip_norm(f, eta):
     """Exact Lip(eta) norm of the truncation of f to level q = ceil(eta)-1.
 
-    The coefficients of each level are stacked once. Blocks of base
-    sites i (sized like the covering module's pair-distance blocks) then
-    give one (r, N) table per level: the remainders against every site j
-    in one batch, their operator norms divided by ||y_j - x_i||^(eta-l).
+    Blocks of base sites i (sized like the covering module's
+    pair-distance blocks) give one (r, N) table per level: the
+    remainders against every site j in one batch, their operator norms
+    divided by ||y_j - x_i||^(eta-l).
     Every witness is the first maximum in index order: the site for a
     pointwise sup, the ordered pair (i, j) for a Holder sup, which is
     None when the sup is 0.
@@ -193,7 +217,7 @@ def lip_norm(f, eta):
         raise ValueError(f"eta must lie in (0, {f.gamma}], got {eta}")
     q = level_count(eta)
     n, d, m = f.n_sites, f.dim, f.codim
-    levels = [np.stack([f.form(i, l).coeffs for i in range(n)]) for l in range(q + 1)]
+    levels = f.levels[: q + 1]
 
     report = NormReport(eta=eta)
     for stack in levels:
@@ -229,7 +253,7 @@ def proposal_eval(f, x_idx, y):
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != f.dim:
         raise ValueError("point length does not match jet dimension")
-    base = [f.form(x_idx, s).coeffs[None] for s in range(f.k + 1)]
+    base = [level[x_idx : x_idx + 1] for level in f.levels]
     return _expansion(base, 0, (y - f.sites[x_idx])[None, None, :])[0, 0]
 
 
@@ -269,26 +293,26 @@ def holder_estimate_check(f, x_idx, w_idx, y, z, norm=None):
     return lhs, rhs, ok
 
 
+def _finite(levels):
+    """The level arrays, once checked for overflow in the arithmetic that made them."""
+    if not all(np.isfinite(level).all() for level in levels):
+        raise ValueError("coefficients must be finite")
+    return levels
+
+
 def diff(f, g):
     """Level-wise difference f - g on an identical site list."""
     if (f.dim, f.codim, f.gamma) != (g.dim, g.codim, g.gamma):
         raise ValueError("jets must share dimension, codim, and gamma")
     if f.n_sites != g.n_sites or not np.array_equal(f.sites, g.sites):
         raise ValueError("jets must share an identical site list")
-    jets = [
-        [f.form(i, l) - g.form(i, l) for l in range(f.k + 1)]
-        for i in range(f.n_sites)
-    ]
-    return LipFunction(f.gamma, f.sites, jets)
+    levels = _finite([a - b for a, b in zip(f.levels, g.levels)])
+    return LipFunction._from_levels(f.gamma, f.sites, levels)
 
 
 def scale(f, c):
     c = float(c)
-    jets = [
-        [f.form(i, l) * c for l in range(f.k + 1)]
-        for i in range(f.n_sites)
-    ]
-    return LipFunction(f.gamma, f.sites, jets)
+    return LipFunction._from_levels(f.gamma, f.sites, _finite([level * c for level in f.levels]))
 
 
 def truncate(f, q):
@@ -296,11 +320,7 @@ def truncate(f, q):
     q = int(q)
     if not (0 <= q <= f.k):
         raise ValueError(f"truncation level {q} out of range [0, {f.k}]")
-    jets = [
-        [f.form(i, l) for l in range(q + 1)]
-        for i in range(f.n_sites)
-    ]
-    return LipFunction(float(q + 1), f.sites, jets)
+    return LipFunction._from_levels(float(q + 1), f.sites, f.levels[: q + 1])
 
 
 def restrict(f, indices):
@@ -312,6 +332,4 @@ def restrict(f, indices):
         raise ValueError("duplicate indices in restriction")
     for i in indices:
         _check_site(f, i)
-    sites = f.sites[indices]
-    jets = [[f.form(i, l) for l in range(f.k + 1)] for i in indices]
-    return LipFunction(f.gamma, sites, jets)
+    return LipFunction._from_levels(f.gamma, f.sites[indices], [level[indices] for level in f.levels])

@@ -18,6 +18,9 @@ MAX_DENSE = 100_000
 # Constructor-level symmetry tolerance (relative).
 SYM_TOL = 1e-12
 
+# Below this norm the sum of squares leaves the normal range and loses precision.
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
 
 class SymForm:
     """A symmetric l-linear form from (R^d)^l to R^m.
@@ -52,21 +55,26 @@ class SymForm:
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
 
-        sym = _symmetrize(arr, degree)
-        scale_ref = float(np.max(np.abs(arr))) if arr.size else 0.0
-        if scale_ref > 0.0:
-            drift = float(np.max(np.abs(arr - sym))) / scale_ref
-            if drift > sym_tol:
-                raise ValueError(
-                    f"coefficients are not symmetric: relative deviation "
-                    f"{drift:.3e} exceeds tolerance {sym_tol:.1e}"
-                )
-        sym.setflags(write=False)
+        sym, drift = _symmetrize(arr[None], degree)
+        if drift[0] > sym_tol:
+            raise ValueError(
+                f"coefficients are not symmetric: relative deviation "
+                f"{drift[0]:.3e} exceeds tolerance {sym_tol:.1e}"
+            )
+        self._fill(degree, dim, codim, sym[0])
 
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "coeffs", sym)
+    @classmethod
+    def _view(cls, dim, coeffs):
+        """A form over coefficients already known symmetric and finite: no
+        checks and no copy (the array is made read-only)."""
+        form = object.__new__(cls)
+        form._fill(coeffs.ndim - 1, dim, coeffs.shape[-1], coeffs)
+        return form
+
+    def _fill(self, degree, dim, codim, coeffs):
+        coeffs.setflags(write=False)
+        for name, value in zip(self.__slots__, (degree, dim, codim, coeffs)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymForm is immutable")
@@ -105,16 +113,24 @@ class SymForm:
         )
 
 
-def _symmetrize(arr, degree):
-    """Average arr over all permutations of its first ``degree`` axes."""
+def _symmetrize(stack, degree):
+    """Average each form of a stack (n,) + (d,)*degree + (m,) over all
+    permutations of its input axes.
+
+    Returns the symmetric stack and each form's largest deviation from
+    it relative to its largest |entry| (0 for a zero form).
+    """
     if degree < 2:
-        return np.array(arr, dtype=float)
-    acc = np.zeros_like(arr)
-    count = 0
-    for perm in itertools.permutations(range(degree)):
-        acc += np.transpose(arr, perm + (degree,))
-        count += 1
-    return acc / count
+        return np.array(stack, dtype=float), np.zeros(len(stack))
+    acc = np.zeros_like(stack)
+    perms = list(itertools.permutations(range(1, degree + 1)))
+    for perm in perms:
+        acc += np.transpose(stack, (0,) + perm + (degree + 1,))
+    sym = acc / len(perms)
+    flat = stack.reshape(len(stack), -1)
+    ref = np.abs(flat).max(axis=1)
+    dev = np.abs(flat - sym.reshape(len(stack), -1)).max(axis=1)
+    return sym, dev / np.where(ref > 0.0, ref, 1.0)
 
 
 def apply_form(form, vectors):
@@ -160,16 +176,26 @@ def _op_norms(stack):
     """Operator norm of each form in a stack of shape (n,) + (d,)*l + (m,).
 
     The norm is the largest singular value of the form's (d^l, m)
-    matrix. For m = 1 that is the Euclidean norm of the coefficients.
-    Otherwise each matrix B is first divided by its largest |entry| s,
-    which keeps coefficients near 1e+-150 and beyond from overflowing or
-    underflowing when squared; the norm is s times the Euclidean norm of
-    a single row, or s * sqrt(lambda_max) of the smaller of B^T B and
-    B B^T.
+    matrix. For m = 1 that is the Euclidean norm of the coefficients;
+    only forms whose sum of squares overflows or leaves the normal
+    range are first divided by their largest |entry| s. For m > 1 every
+    matrix B is divided by its s, which keeps coefficients near
+    1e+-150 and beyond from overflowing or underflowing when squared;
+    the norm is s times the Euclidean norm of a single row, or
+    s * sqrt(lambda_max) of the smaller of B^T B and B B^T.
     """
     n, m = stack.shape[0], stack.shape[-1]
     if m == 1:
-        return np.linalg.norm(stack.reshape(n, -1), axis=1)
+        flat = stack.reshape(n, -1)
+        with np.errstate(over="ignore"):  # overflowing rows are redone below
+            norms = np.linalg.norm(flat, axis=1)
+        redo = np.flatnonzero((norms < _SQRT_TINY) | (norms == np.inf))
+        if flat[redo].any():
+            s = np.abs(flat[redo]).max(axis=1)
+            keep = (s > 0.0) & (s < np.inf)  # zero rows and rows holding inf or NaN keep their norm
+            redo, s = redo[keep], s[keep]
+            norms[redo] = s * np.linalg.norm(flat[redo] / s[:, None], axis=1)
+        return norms
     mat = stack.reshape(n, -1, m)
     s = np.abs(mat).max(axis=(1, 2))
     mat = mat / np.where(s > 0.0, s, 1.0)[:, None, None]

@@ -1,16 +1,27 @@
+import contextlib
+import glob
 import hashlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import symmetrize
+from lipjet import SymForm
 from lipjet.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REJECTED,
+    LOAD_SYM_TOL,
+    SCHEMA,
     dict_to_jet,
     fixture_path,
     jet_to_dict,
@@ -115,12 +126,20 @@ _DEGENERATE_RADIUS = {"gamma": 1.01, "jets": [[[0.0], [0.0]]] * 3}
     ("cover", {}, "--delta", "0.5", "--check", Centers("[1.5]")),
     ("cover", {}, "--delta", "0.5", "--check", Centers("[true]")),
     ("cover", {}, "--delta", "0.5", "--check", Centers('{"0": 1}')),
+    # the zero-jet file stands in for an existing file where a directory is wanted
+    ("example", "--kind", "nesting-a", "--out", {}),
+    ("bounds", "--which", "g", "--rho", "1.5", "--theta", "1.2", "--diam", "1", "--l", "0.5"),
+    ("bounds", "--which", "h", "--rho", "2.5", "--theta", "1.2", "--diam", "1", "--l", "0.5"),
+    ("norm", {"gamma": 10**400}),
+    ("norm", {"points": [[10**400], [0.5], [1.0]]}),
+    ("norm", {"jets": [[[0.0]], [[10**400]], [[0.0]]]}),
 ], ids=["dim-x", "gamma-0", "gamma-nan", "g-theta-above-rho", "sandwich-negative-eps",
         "points-int", "jets-int", "site-entry-int", "level-entry-float", "coeff-string",
         "sandwich-degenerate-radius", "plan-degenerate-radius", "certify-degenerate-radius",
         "bounds-l-inf", "plan-l-inf", "certify-l-inf", "certify-l-nan", "bounds-l-fractional",
         "cover-delta-nan", "centers-int", "centers-null", "centers-float", "centers-bool",
-        "centers-object"])
+        "centers-object", "example-out-is-file", "g-l-fractional", "h-l-fractional",
+        "gamma-huge-int", "point-huge-int", "coeff-huge-int"])
 def test_bad_input_exits_two(argv, tmp_path, capsys):
     # a dict stands for the zero-jet fixture with those fields replaced
     def jet_file(fields):
@@ -299,3 +318,195 @@ def test_example_invalid_params(capsys, tmp_path):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_INPUT
+
+
+def _symform_levels(data):
+    """The level arrays the per-form route builds: one SymForm per site and level."""
+    d, m = data["dim"], data["codim"]
+    return [
+        np.stack([
+            SymForm(l, d, m, np.array(per_site[l]).reshape((d,) * l + (m,)), sym_tol=LOAD_SYM_TOL).coeffs
+            for per_site in data["jets"]
+        ])
+        for l in range(len(data["jets"][0]))
+    ]
+
+
+def _random_doc(rng, d, m, k, n):
+    """A jet file with symmetric coefficients perturbed inside LOAD_SYM_TOL."""
+    def flat(l):
+        coeffs = symmetrize(rng.standard_normal((d,) * l + (m,)), l)
+        return (coeffs * (1 + 1e-11 * rng.standard_normal(coeffs.shape))).reshape(-1).tolist()
+
+    return {"schema": SCHEMA, "dim": d, "codim": m, "gamma": k + 0.5,
+            "points": rng.random((n, d)).tolist(),
+            "jets": [[flat(l) for l in range(k + 1)] for _ in range(n)]}
+
+
+_FIXTURES = sorted(os.path.basename(p)[:-5] for p in glob.glob(fixture_path("*")))
+
+
+@pytest.mark.parametrize("doc", _FIXTURES + [(d, m, k) for d in (1, 2, 3) for m in (1, 2) for k in (2, 3)])
+def test_load_matches_symform_route(doc):
+    if isinstance(doc, str):
+        data = json.load(open(fixture_path(doc)))
+    else:
+        data = _random_doc(np.random.default_rng(sum(doc)), *doc, 7)
+    f = dict_to_jet(data)
+    assert np.array_equal(f.sites, np.array(data["points"]))
+    want = _symform_levels(data)
+    assert len(f.levels) == len(want)
+    for got, ref in zip(f.levels, want):
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
+    out = jet_to_dict(f)
+    assert out["points"] == data["points"]
+    assert out["jets"] == [[ref[i].reshape(-1).tolist() for ref in want] for i in range(f.n_sites)]
+
+
+@pytest.mark.parametrize("bad,name", [
+    ({(4, 0): [float("nan")]}, r"jets\[4\]\[0\]: coefficients must be finite"),
+    # relative deviation 1.5e-9 against LOAD_SYM_TOL = 1e-9
+    ({(3, 2): [1.0, 2.0, 2.0 + 9e-9, 3.0]}, r"jets\[3\]\[2\]: coefficients are not symmetric: relative deviation 1\.500e-09"),
+    ({(4, 0): [float("inf")], (2, 2): [0.0, 1.0, 0.0, 0.0]}, r"jets\[2\]\[2\]: coefficients are not symmetric"),
+    ({(3, 0): [1e400], (1, 2): [0.0, 1.0, 0.5, 0.0]}, r"jets\[1\]\[2\]: coefficients are not symmetric"),
+    ({(5, 0): ["x"], (0, 1): [0.0, None]}, r"jets\[0\]\[1\]: coefficients must be finite"),
+    ({(2, 1): [10**400, 0.0], (3, 0): [float("nan")]}, r"jets\[2\]\[1\]: int too large"),
+    ({(1, 1): [[1.0], [2.0]]}, r"jets\[1\]\[1\]: coefficients must be numbers"),
+    ({(0, 2): [1.0, 2.0, 2.0 + 1e-10, 3.0], (4, 1): ["y", 1.0]}, r"jets\[4\]\[1\]: could not convert"),
+], ids=["nan", "just-above-tolerance", "asymmetric-before-inf", "asymmetric-before-overflow", "null-before-string",
+        "huge-int", "nested", "within-tolerance-then-string"])
+def test_bad_coefficient_names_first_form(bad, name, tmp_path, capsys):
+    data = _random_doc(np.random.default_rng(0), 2, 1, 2, 6)
+    for (i, l), flat in bad.items():
+        data["jets"][i][l] = flat
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    code, _, err = run(capsys, "norm", str(p))
+    assert code == EXIT_INPUT
+    assert re.match("error: " + name, err)
+
+
+class Doc(NamedTuple):
+    """A file holding this JSON document (or this raw text, for a str)."""
+
+    body: object
+
+
+_NUMBER = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, 1e-300, 1e300, -1e300, 10**400, float("nan"), float("inf")]),
+)
+_GARBAGE = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _jet_shape(draw):
+    """(dim, codim, gamma, points) of a well-formed jet document."""
+    d, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    gamma = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.7, 3.4]))
+    return d, m, gamma, [[draw(st.floats(-2.0, 2.0)) for _ in range(d)] for _ in range(n)]
+
+
+@st.composite
+def _jet_doc(draw, shape):
+    """A jet document of this shape with symmetric coefficients of one
+    magnitude, and up to two of its fields replaced by garbage."""
+    d, m, gamma, points = shape
+    n, k = len(points), math.ceil(gamma) - 1
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e150, 1e-200]))
+
+    def flat(l):
+        raw = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(d**l * m)]) * scale
+        return symmetrize(raw.reshape((d,) * l + (m,)), l).reshape(-1).tolist()
+
+    pts, jets = [list(p) for p in points], [[flat(l) for l in range(k + 1)] for _ in range(n)]
+    doc = {"schema": SCHEMA, "dim": d, "codim": m, "gamma": gamma, "points": pts, "jets": jets}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i, l = draw(st.integers(0, n - 1)), draw(st.integers(0, k))
+        where = draw(st.sampled_from(["top", "point", "site", "level", "coeff"]))
+        if where == "top":
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(_GARBAGE)
+        elif where == "point":
+            pts[i] = draw(_GARBAGE)
+        elif where == "site":
+            jets[i] = draw(_GARBAGE)
+        elif isinstance(jets[i], list) and l < len(jets[i]):
+            if where == "level":
+                jets[i][l] = draw(_GARBAGE)
+            elif isinstance(jets[i][l], list):
+                jets[i][l][:1] = [draw(_GARBAGE)]
+    return doc
+
+
+_GOOD = st.sampled_from(["0.1", "0.25", "0.5", "0.75", "1", "1.5", "2", "2.5", "3", "4", "1e-6"])
+_BAD = st.sampled_from(["0", "-1", "1e300", "nan", "inf", "x", "1.5e-320"])
+_FLAGS = {
+    "norm": ["--eta"],
+    "bounds": ["--rho", "--theta", "--diam", "--a", "--r0", "--delta", "--eps", "--eps0", "--k",
+               "--gamma", "--eta", "--l"],
+    "cover": ["--delta"],
+    "certify": ["--eps", "--eps0", "--k1", "--k2", "--l", "--eta", "--anchor", "--centers"],
+    "plan": ["--eps", "--k1", "--k2", "--eta", "--l", "--eps0"],
+    "example": ["--k0", "--eps", "--n", "--eps0", "--a"],
+}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [cmd]
+    if cmd in ("norm", "cover", "certify", "plan"):
+        shape = draw(_jet_shape())
+        bad_text = draw(st.sampled_from([None] * 6 + ["{not json", "[]"]))
+        argv.append(Doc(bad_text or draw(_jet_doc(shape))))
+        if cmd == "certify":
+            argv.append(Doc(draw(_jet_doc(shape if draw(st.booleans()) else draw(_jet_shape())))))
+            argv += ["--theorem", draw(st.sampled_from(["pointwise", "single-point", "full"]))]
+    if cmd == "bounds":
+        argv += ["--which", draw(st.sampled_from(["g", "h", "nesting", "local1", "local2", "delta-star",
+                                                  "delta0-pointwise", "delta0-single", "sandwich"]))]
+    if cmd == "example":
+        argv += ["--kind", draw(st.sampled_from(["eta-equals-gamma", "eps0-dependence", "nesting-a",
+                                                 "nesting-b"])), "--out", draw(st.sampled_from(["out", Doc({})]))]
+    if cmd == "cover" and draw(st.booleans()):
+        argv += ["--check", Doc(draw(st.one_of(st.lists(st.integers(-1, 6), max_size=4), _GARBAGE)))]
+    # every flag is usually given a well-formed value; now and then one is
+    # left out or gets an out-of-range or unparsable value
+    flags = _FLAGS[cmd]
+    odd = draw(st.sampled_from([None, None] + flags))
+    for flag in flags:
+        if flag == odd and draw(st.booleans()):
+            continue
+        if flag == "--centers":
+            value = draw(st.sampled_from(["all", "all", "0", "0,1", "a"]))
+        elif flag in ("--n", "--anchor", "--l"):
+            value = draw(st.sampled_from(["0", "1", "2", "5"]))
+        else:
+            value = draw(_GOOD)
+        argv += [flag, draw(_BAD) if flag == odd else value]
+    return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_argv())
+def test_cli_never_raises(argv):
+    """Whatever the arguments and files, main() returns an exit code of the contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for idx, arg in enumerate(argv):
+            if isinstance(arg, Doc):
+                path = os.path.join(tmp, f"{idx}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(arg.body if isinstance(arg.body, str) else json.dumps(arg.body))
+                arg = path
+            elif arg == "out":
+                arg = os.path.join(tmp, "out")
+            paths.append(arg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(paths)
+    assert code in (0, 2, 3, 4)

@@ -296,14 +296,16 @@ def test_lip_norm_witness_across_row_blocks():
     assert holder(1, step + 5) == ([1.0], [(0, 1)])
 
 
-@pytest.mark.parametrize("d,l,m", [(1, 0, 2), (3, 1, 2), (2, 1, 2), (2, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize("d,l,m", [
+    (1, 0, 1), (3, 1, 1), (2, 2, 1), (1, 0, 2), (3, 1, 2), (2, 1, 2), (2, 1, 3), (2, 2, 3),
+])
 def test_op_norms_at_extreme_scales(d, l, m):
     rng = np.random.default_rng(10 * d + l + m)
-    scales = [1.0, 1e150, 1e-150, 1e200, 1e-200, 0.0]
+    scales = [1.0, 1e150, 1e-150, 1e-160, 1e200, 1e-200, 0.0]
     stack = np.stack([rng.standard_normal((d,) * l + (m,)) * c for c in scales])
     norms = _op_norms(stack)
     for form, norm in zip(stack, norms):
-        assert norm == pytest.approx(np.linalg.norm(form.reshape(-1, m), ord=2), rel=1e-12)
+        assert norm == pytest.approx(np.linalg.norm(form.reshape(-1, m), ord=2), rel=1e-12, abs=0.0)
     assert norms[-1] == 0.0
 
 
@@ -323,3 +325,74 @@ def test_lip_norm_pinned_case():
     rep = lip_norm(f, f.gamma)
     assert rep.overall == 9541.532148462325
     assert rep.holder_witness == [(56, 64), (2, 51)]
+
+
+def _paired_jets(seed):
+    rng = np.random.default_rng(seed)
+    d, m, k, n = (int(v) for v in rng.integers([1, 1, 0, 1], [4, 4, 4, 9]))
+    f = random_jet(rng, d, m, k, n)
+    g = random_jet(rng, d, m, k, n, gamma=f.gamma)
+    g = LipFunction(f.gamma, f.sites, [[g.form(i, l) for l in range(k + 1)] for i in range(n)])
+    return f, g, float(rng.uniform(-3.0, 3.0)), [int(i) for i in rng.permutation(n)[: (n + 1) // 2]]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_algebra_matches_symform_route(seed):
+    # the array ops against the per-form route: one SymForm per site and
+    # level through SymForm arithmetic and the public constructor
+    f, g, c, keep = _paired_jets(seed)
+    n, k = f.n_sites, f.k
+    q = int(np.random.default_rng(seed).integers(0, k + 1))
+    cases = [
+        (diff(f, g), lambda i, l: f.form(i, l) - g.form(i, l), range(n)),
+        (scale(f, c), lambda i, l: f.form(i, l) * c, range(n)),
+        (truncate(f, q), lambda i, l: f.form(i, l), range(n)),
+        (restrict(f, keep), lambda i, l: f.form(i, l), keep),
+    ]
+    for h, route, sites in cases:
+        want = LipFunction(h.gamma, f.sites[list(sites)], [[route(i, l) for l in range(h.k + 1)] for i in sites])
+        assert np.array_equal(h.sites, want.sites)
+        assert len(h.levels) == h.k + 1
+        for l in range(h.k + 1):
+            got, ref = h.levels[l], want.levels[l]
+            if l <= 2:
+                assert np.array_equal(got, ref)
+            else:
+                # the per-form route re-averages a degree-3 form over its
+                # axis permutations, which moves entries by at most a few
+                # ulps of the form's largest entry
+                tol = 4 * np.finfo(float).eps * np.abs(ref).reshape(len(ref), -1).max(axis=1)
+                assert np.all(np.abs(got - ref).reshape(len(ref), -1).max(axis=1) <= tol)
+
+
+def test_levels_and_forms_are_read_only():
+    f, g, c, keep = _paired_jets(3)
+    for h in (f, diff(f, g), scale(f, c), truncate(f, 0), restrict(f, keep)):
+        assert not h.sites.flags.writeable
+        for l, level in enumerate(h.levels):
+            assert level.shape == (h.n_sites,) + (h.dim,) * l + (h.codim,)
+            assert not level.flags.writeable
+            with pytest.raises(ValueError):
+                level[0] = 1.0
+            form = h.form(0, l)
+            assert (form.degree, form.dim, form.codim) == (l, h.dim, h.codim)
+            with pytest.raises(ValueError):
+                form.coeffs[...] = 1.0
+
+
+def test_algebra_rejects_overflow():
+    big = LipFunction(1.0, [[0.0], [1.0]], [[SymForm(0, 1, 1, np.array([1e308]))]] * 2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        scale(big, 10.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        diff(big, scale(big, -1.0))
+
+
+def test_op_norms_keep_nonfinite_rows():
+    # a remainder that overflowed must not be rescaled into NaN, which the
+    # sup in lip_norm would skip
+    norms = _op_norms(np.array([[np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200], [3.0, 4.0]])[..., None])
+    assert norms[0] == np.inf
+    assert np.isnan(norms[1])
+    assert norms[2] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norms[3] == 5.0

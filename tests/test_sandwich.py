@@ -9,6 +9,8 @@ from helpers import (
     make_single_point_instance,
 )
 from lipjet import (
+    LipFunction,
+    SymForm,
     certify_full,
     certify_pointwise,
     certify_single_point,
@@ -49,6 +51,21 @@ def test_certify_pointwise_flags_norm_violation():
     assert not cert.valid
     names = [name for name, _ in cert.failed_checks()]
     assert "psi_norm_le_K1" in names
+
+
+def test_jet_gaps_at_listed_sites_and_levels():
+    # f - g is 0.1 at site 0 (level 1), 0.3 and 0.5 at site 2 (levels 0, 1)
+    def jet(values):
+        return LipFunction(1.5, [[0.0], [1.0], [2.0]],
+                           [[SymForm(0, 1, 1, [v0]), SymForm(1, 1, 1, [v1])] for v0, v1 in values])
+
+    f = jet([(0.0, 0.0)] * 3)
+    g = jet([(0.0, 0.1), (0.0, 0.0), (0.3, 0.5)])
+    cert = certify_pointwise(f, g, [0, 1], 1.0, 0.2, 10.0, 10.0, 0)
+    # the hypothesis sees the cover sites at every level, the conclusion
+    # every site at levels up to l = 0
+    assert cert.hypothesis_report["worst_gap"] == 0.1
+    assert cert.measured_value == 0.3
 
 
 def test_certify_pointwise_parameter_rejection():
