@@ -29,7 +29,7 @@ from .bounds import (
     nesting_factor,
     sandwich_constants,
 )
-from .covering import greedy_cover, is_cover
+from .covering import CoverPlan, greedy_cover, is_cover
 from .jets import LipFunction, _check_separation, _site_array, level_count, lip_norm
 from .sandwich import (
     certify_full,
@@ -201,7 +201,10 @@ def cmd_norm(args):
     eta = f.gamma if args.eta is None else args.eta
     if not (0 < eta <= f.gamma):
         raise CLIError(f"--eta must lie in (0, {f.gamma}], got {eta}")
-    rep = lip_norm(f, eta)
+    try:
+        rep = lip_norm(f, eta)
+    except ArithmeticError as exc:
+        raise CLIError(str(exc)) from exc
     lines = [f"Lip({eta}) norm of {args.file}"]
     for l in range(len(rep.pointwise)):
         lines.append(
@@ -297,27 +300,22 @@ def cmd_cover(args):
             ok, witness = is_cover(f.sites, centers, args.delta)
         except (ValueError, IndexError) as exc:
             raise CLIError(str(exc)) from exc
-        lines = [f"cover check at delta {args.delta}: {'ok' if ok else 'FAILED'}"]
-        if witness is not None:
-            lines.append(f"  first uncovered site: {witness}")
-        _emit(args, lines, {"delta": args.delta, "verified": ok, "uncovered_witness": witness})
+        plan = CoverPlan(delta=args.delta, center_indices=centers, verified=ok, uncovered_witness=witness)
+        lines = [f"cover check at delta {plan.delta}: {'ok' if plan.verified else 'FAILED'}"]
+        if plan.uncovered_witness is not None:
+            lines.append(f"  first uncovered site: {plan.uncovered_witness}")
+        _emit(args, lines, _fields(plan, "delta", "verified", "uncovered_witness"))
         return EXIT_OK
     try:
         plan = greedy_cover(f.sites, args.delta)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     lines = [
-        f"greedy cover at delta {args.delta}: {len(plan.center_indices)} centers",
+        f"greedy cover at delta {args.delta}: {plan.N} centers",
         f"  centers: {plan.center_indices}",
         f"  verified: {plan.verified}",
     ]
-    payload = {
-        "delta": plan.delta,
-        "center_indices": plan.center_indices,
-        "N": len(plan.center_indices),
-        "verified": plan.verified,
-    }
-    _emit(args, lines, payload)
+    _emit(args, lines, _fields(plan, "delta", "center_indices", "N", "verified"))
     return EXIT_OK
 
 

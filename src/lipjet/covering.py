@@ -19,6 +19,10 @@ class CoverPlan:
     verified: bool
     uncovered_witness: int = None
 
+    @property
+    def N(self):
+        return len(self.center_indices)
+
 
 @dataclass
 class CubeBound:
@@ -35,6 +39,8 @@ def _as_sites(sites):
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("sites must be a nonempty (N, d) array")
+    if not np.isfinite(arr).all():
+        raise ValueError("site coordinates must be finite")
     return arr
 
 
@@ -65,6 +71,38 @@ def _row_blocks(n_rows, n_cols):
     return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
+def _x_blocks(rows, cols, r):
+    """(rows index, cols index) blocks of the rows x cols distance table
+    that meet every pair within r, each about _BLOCK_ELEMS pairs; an index
+    is a slice or an array of positions.
+
+    A table that small is one block. Otherwise rows and cols are sorted
+    (stably) along the first coordinate, and each block of sorted rows
+    meets only the contiguous slice of sorted cols within w = r * (1 +
+    2**-20) of it there (sort and sweep). A skipped col differs from a row
+    by at least w in that coordinate, exactly, so its kernel distance
+    rounds to more than r; the 2**-500 floor keeps w squared a normal float.
+    """
+    n_rows, n_cols = rows.shape[0], cols.shape[0]
+    if n_rows * n_cols <= _BLOCK_ELEMS:
+        yield slice(None), slice(None)
+        return
+    w = max(r * (1.0 + 2.0**-20), 2.0**-500)
+    row_order = np.argsort(rows[:, 0], kind="stable")
+    col_order = np.argsort(cols[:, 0], kind="stable")
+    xs, ys = rows[row_order, 0], cols[col_order, 0]
+    lo, hi = np.searchsorted(ys, xs - w, "left"), np.searchsorted(ys, xs + w, "right")
+    start = 0
+    while start < n_rows:
+        # lo and hi rise with the row, so rows start..stop-1 meet the cols
+        # lo[start]:hi[stop - 1]; take rows while that stays inside a block
+        cap = min(n_rows - start, _BLOCK_ELEMS // max(1, hi[start] - lo[start]))
+        sizes = np.arange(1, cap + 1) * (hi[start : start + cap] - lo[start])
+        stop = start + max(1, int(np.searchsorted(sizes, _BLOCK_ELEMS, "right")))
+        yield row_order[start:stop], col_order[lo[start] : hi[stop - 1]]
+        start = stop
+
+
 def is_cover(sites, centers, delta):
     """Whether every site lies within delta of some center (closed balls).
 
@@ -80,13 +118,19 @@ def is_cover(sites, centers, delta):
             raise IndexError(f"center index {c} out of range")
     if not centers:
         return False, 0
+    n = sites.shape[0]
     center_pts = sites[centers]
-    for start, stop in _row_blocks(sites.shape[0], len(centers)):
-        nearest = np.sqrt(_sq_dists(sites[start:stop], center_pts).min(axis=1))
-        uncovered = nearest > delta
+    first = n  # the lowest uncovered site found so far
+    settled = np.zeros(n, dtype=bool)
+    for ri, ci in _x_blocks(sites, center_pts, delta):
+        # blocks run in x-order: stop once every site below first is checked
+        if first < n and settled[:first].all():
+            break
+        uncovered = np.sqrt(_sq_dists(sites[ri], center_pts[ci]).min(axis=1, initial=np.inf)) > delta
         if uncovered.any():
-            return False, start + int(np.argmax(uncovered))
-    return True, None
+            first = min(first, int(np.arange(n)[ri][uncovered].min()))
+        settled[ri] = True
+    return (True, None) if first == n else (False, first)
 
 
 def greedy_cover(sites, delta):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import _row_blocks, _sq_dists
+from .covering import _row_blocks, _sq_dists, _x_blocks
 from .tensor_core import SymForm, _op_norms
 
 # Construction rejects site pairs closer than this (relative to the
@@ -42,16 +42,18 @@ def _check_separation(sites):
     """Raise for the first site pair (i, j > i) closer than the tolerance."""
     n = sites.shape[0]
     tol = MIN_SITE_SEPARATION * max(1.0, float(np.max(np.abs(sites))))
-    for start, stop in _row_blocks(n - 1, n):
-        # row r is site start + r, column c is site start + 1 + c; a pair
-        # j < i repeats one from an earlier row of the block, so the first
-        # close entry in row-major order is the first pair j > i
-        sq = _sq_dists(sites[start:stop], sites[start + 1:])
-        rows = np.arange(1, stop - start)
-        sq[rows, rows - 1] = np.inf
-        if np.sqrt(sq.min()) < tol:
-            r, c = divmod(int(np.argmax(np.sqrt(sq) < tol)), sq.shape[1])
-            raise ValueError(f"sites {start + r} and {start + 1 + c} are closer than the separation tolerance")
+    index = np.arange(n)
+    first = n * n  # the smallest close pair i < j so far, as i * n + j
+    for ri, ci in _x_blocks(sites, sites, tol):
+        close = np.sqrt(_sq_dists(sites[ri], sites[ci])) < tol
+        # every row of a block meets itself, at distance 0
+        if np.count_nonzero(close) > close.shape[0]:
+            r, c = np.nonzero(close)
+            i, j = index[ri][r], index[ci][c]
+            first = int((i * n + j)[i < j].min(initial=first))
+    if first < n * n:
+        i, j = divmod(first, n)
+        raise ValueError(f"sites {i} and {j} are closer than the separation tolerance")
 
 
 class LipFunction:
@@ -210,7 +212,8 @@ def lip_norm(f, eta):
     divided by ||y_j - x_i||^(eta-l).
     Every witness is the first maximum in index order: the site for a
     pointwise sup, the ordered pair (i, j) for a Holder sup, which is
-    None when the sup is 0.
+    None when the sup is 0. A remainder whose operator norm overflows
+    (inf or NaN) raises ArithmeticError naming its level and pair.
     """
     eta = float(eta)
     if not (0 < eta <= f.gamma):
@@ -236,11 +239,23 @@ def lip_norm(f, eta):
         base = [stack[start:stop] for stack in levels]
         for l in range(q + 1):
             rem = levels[l][None] - _expansion(base, l, steps)
-            quot = _op_norms(rem.reshape(gaps.size, -1, m)).reshape(gaps.shape) / gaps ** (eta - l)
+            norms = _op_norms(rem.reshape(gaps.size, -1, m)).reshape(gaps.shape)
+            quot = norms / gaps ** (eta - l)
             quot[rows, start + rows] = 0.0
+            # argmax takes the first maximum, or the first NaN if there is one
             i, j = np.unravel_index(int(np.argmax(quot)), quot.shape)
-            if quot[i, j] > report.holder[l]:
-                report.holder[l] = float(quot[i, j])
+            best = float(quot[i, j])
+            if not math.isfinite(best):
+                bad = ~np.isfinite(norms)
+                if bad.any():
+                    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                    raise ArithmeticError(f"level {l} remainder at pair ({start + int(i)}, {int(j)}) overflows")
+                # a zero remainder over a power that underflows to 0 gave 0/0
+                quot[norms == 0.0] = 0.0
+                i, j = np.unravel_index(int(np.argmax(quot)), quot.shape)
+                best = float(quot[i, j])
+            if best > report.holder[l]:
+                report.holder[l] = best
                 report.holder_witness[l] = (start + int(i), int(j))
 
     report.recompute_overall()

@@ -291,6 +291,17 @@ def pair_distance(p, q):
     return math.sqrt(acc)
 
 
+def separation_oracle(sites, rel_tol):
+    """First site pair (i, j > i) in index order closer than rel_tol times
+    max(1, largest |coordinate|), one pair at a time; None if there is none."""
+    tol = rel_tol * max(1.0, max(abs(float(x)) for p in sites for x in p))
+    for i in range(len(sites)):
+        for j in range(i + 1, len(sites)):
+            if pair_distance(sites[i], sites[j]) < tol:
+                return i, j
+    return None
+
+
 def greedy_packing_oracle(sites, delta):
     """Index-order greedy packing, one site pair at a time."""
     kept = []

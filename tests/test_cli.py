@@ -65,6 +65,19 @@ def test_norm_eta_out_of_range(capsys):
     assert "eta" in err
 
 
+def test_norm_overflow_exits_two(tmp_path, capsys):
+    # 1e307 coefficients on sites 100 apart: a remainder overflows
+    big = [1e307, 1e307]
+    doc = {"schema": SCHEMA, "dim": 1, "codim": 2, "gamma": 2.5,
+           "points": [[0.0], [100.0]], "jets": [[big, big, big]] * 2}
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "norm", str(p))
+    assert code == EXIT_INPUT and out == ""
+    assert "level 0 remainder at pair (0, 1) overflows" in err and "Traceback" not in err
+
+
 def test_norm_missing_file(capsys):
     code, _, err = run(capsys, "norm", "/no/such/file.json")
     assert code == EXIT_INPUT

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lipjet import cube_bound, diameter, greedy_cover, greedy_packing, is_cover
 from lipjet.cli import fixture_path, load_jetfile
+from lipjet.covering import _BLOCK_ELEMS, _sq_dists, _x_blocks
 from oracles import (
     cover_check_oracle,
     diameter_oracle,
@@ -43,6 +44,16 @@ def test_is_cover_index_validation():
         is_cover(sites, [3], 1.0)
     with pytest.raises(ValueError):
         is_cover(sites, [0], -0.1)
+
+
+def test_covering_rejects_non_finite_sites():
+    # a NaN site once read as covered, and sent greedy_cover into an endless loop
+    for bad in (float("nan"), float("inf")):
+        sites = np.array([[0.0, 0.0], [bad, 1.0], [3.0, 0.0]])
+        for call in (lambda: is_cover(sites, [0], 1.0), lambda: greedy_cover(sites, 1.0),
+                     lambda: greedy_packing(sites, 1.0), lambda: diameter(sites)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 def test_is_cover_rejects_nan_delta():
@@ -143,10 +154,10 @@ def test_greedy_cover_always_verifies(seed, delta):
 
 
 @st.composite
-def site_sets(draw):
+def site_sets(draw, max_n=150):
     """Random sites, or distinct lattice sites (exact distance ties), in d <= 7."""
     d = draw(st.integers(1, 7))
-    n = draw(st.integers(1, 150))
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         return rng.random((n, d))
@@ -177,6 +188,94 @@ def test_pair_kernel_matches_reference_loops(sites, frac, at_pair_distance, pick
     for centers in (plan.center_indices, plan.center_indices[: len(plan.center_indices) // 2]):
         assert is_cover(sites, centers, delta) == is_cover_rows_oracle(sites, centers, delta)
     assert greedy_packing(sites, delta) == greedy_packing_oracle(sites, delta)
+
+
+def _window_layouts():
+    """Site sets of N > 128, so that N x N tables span several x-window
+    blocks, with the first coordinate tied or badly conditioned."""
+    rng = np.random.default_rng(31)
+    one_x = rng.random((300, 3))
+    one_x[:, 0] = 0.375  # every window is everything
+    columns = np.array([[i, j] for i in range(12) for j in range(25)]) / 8.0  # ties in x
+    cluster = 1e12 + rng.random((400, 2)) * 1e6
+    spread = rng.choice([-1.0, 1.0], (600, 3)) * 10.0 ** rng.uniform(6, 12, (600, 3))
+    tiny = rng.random((200, 2)) * 1e-160  # squared distances are subnormal
+    return {"one-x": one_x, "columns": columns, "cluster": cluster, "spread": spread, "tiny": tiny}
+
+
+@pytest.mark.parametrize("layout", sorted(_window_layouts()))
+def test_x_blocks_match_reference_loops(layout):
+    sites = _window_layouts()[layout]
+    n = sites.shape[0]
+    rng = np.random.default_rng(n)
+    i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+    nearest = min(pair_distance(sites[i], sites[k]) for k in range(n) if k != i)
+    # at a nearest-neighbour distance nearly every site is a center; at a
+    # random pair distance closed balls and ties decide
+    deltas = [nearest, pair_distance(sites[i], sites[j])]
+    if layout == "tiny":
+        deltas.append(1e-163)
+    for delta in deltas:
+        plan = greedy_cover(sites, delta)
+        assert plan.center_indices == greedy_cover_rows_oracle(sites, delta)
+        assert (plan.verified, plan.uncovered_witness) == (True, None)
+        for centers in (plan.center_indices, plan.center_indices[::2], plan.center_indices[-3:]):
+            assert is_cover(sites, centers, delta) == is_cover_rows_oracle(sites, centers, delta)
+        assert greedy_packing(sites, delta) == greedy_packing_oracle(sites, delta)
+    # radius 0: each site's window must still hold the sites tied with it in x
+    assert is_cover(sites, list(range(n)), 0.0) == (True, None)
+
+
+@pytest.mark.parametrize("rows, near, r", [
+    # 1 + 2**-52 - 2**-53 rounds to 1, yet 1 + 2**-52 - 1 > 2**-53: only the
+    # 2**-20 margin keeps each of these two sites in the other's window
+    ([[2.0**-53, 0.0], [1.0 + 2.0**-52, 0.0]], [[2.0**-53, 0.0], [1.0 + 2.0**-52, 0.0]], 1.0),
+    # 1.5e-163 squared rounds to 0: only the 2**-500 floor keeps it
+    ([[0.0, 0.0], [0.0, 0.0]], [[1.5e-163, 0.0]], 1e-163),
+])
+def test_x_blocks_keep_pairs_that_round_into_r(rows, near, r):
+    # 9000 far cols make the table windowed, and every block in the first
+    # case one row, so that each row's own window must reach the near cols
+    rows, cols = np.array(rows), np.array(near + [[0.5, 10.0 + k] for k in range(9000)])
+    met = np.zeros((rows.shape[0], cols.shape[0]), dtype=bool)
+    for ri, ci in _x_blocks(rows, cols, r):
+        met[np.ix_(np.arange(rows.shape[0])[ri], np.arange(cols.shape[0])[ci])] = True
+    close = np.sqrt(_sq_dists(rows, cols)) <= r
+    assert close[:, : len(near)].all() and not close[~met].any()
+
+
+def test_is_cover_names_lowest_site_whatever_the_x_order():
+    # 400 sites on a line, x = 399 - index, with a center on every even
+    # site but 6 (x = 393) and 300 (x = 99): the x-ordered blocks find site
+    # 300 first, and the scan must go on until every site below it is checked
+    sites = np.column_stack([399.0 - np.arange(400), np.zeros(400)])
+    for missing, witness in (((6, 300), 6), ((300,), 300)):
+        centers = [c for c in range(0, 400, 2) if c not in missing]
+        assert is_cover(sites, centers, 1.0) == is_cover_rows_oracle(sites, centers, 1.0) == (False, witness)
+
+
+@settings(max_examples=30, deadline=None)
+@given(site_sets(max_n=400), st.floats(0.0, 0.6), st.integers(1, 4))
+def test_x_blocks_meet_every_close_pair(sites, frac, stride):
+    r = frac * float(np.ptp(sites))
+    cols = sites[::stride]
+    n_rows, n_cols = sites.shape[0], cols.shape[0]
+    met = np.zeros((n_rows, n_cols), dtype=bool)
+    seen = []
+    for ri, ci in _x_blocks(sites, cols, r):
+        rows, cs = np.arange(n_rows)[ri], np.arange(n_cols)[ci]
+        assert rows.size == 1 or rows.size * cs.size <= _BLOCK_ELEMS
+        met[np.ix_(rows, cs)] = True
+        seen.extend(rows.tolist())
+    assert sorted(seen) == list(range(n_rows))
+    assert not (np.sqrt(_sq_dists(sites, cols)) <= r)[~met].any()
+
+
+def test_x_blocks_skip_far_pairs():
+    # at the grid plan's delta0 each window holds one lattice column
+    sites = load_jetfile(fixture_path("grid-unit-square")).sites
+    elems = sum(np.arange(2500)[ri].size * np.arange(2500)[ci].size for ri, ci in _x_blocks(sites, sites, 2.8e-4))
+    assert elems < 2500**2 / 10
 
 
 def test_is_cover_witness_in_a_late_block():

@@ -22,8 +22,9 @@ from lipjet import (
 )
 from lipjet import covering
 from lipjet.covering import _BLOCK_ELEMS
+from lipjet.jets import MIN_SITE_SEPARATION
 from lipjet.tensor_core import _op_norms, op_norm
-from oracles import lip_norm_oracle
+from oracles import lip_norm_oracle, separation_oracle
 
 
 def cubic_jet(xs):
@@ -88,6 +89,49 @@ def test_separation_check_across_row_blocks():
         build((step + 1, step + 2), (1, n - 1))
     with pytest.raises(ValueError, match=rf"sites {step} and {3 * step} "):
         build((2 * step + 5, 2 * step + 6), (step, 3 * step))
+
+
+def _separation_cases():
+    """N = 300 sites (x-window blocks), each with close pairs that come early
+    in index order but late in x-order, or with every x the same."""
+    rng = np.random.default_rng(12)
+    base = rng.random((300, 2))
+    one_x = rng.random((300, 2))
+    one_x[:, 0] = 0.5
+
+    def plant(sites, *pairs):
+        # (i, j, x, gap): site i moves to first coordinate x, and site j to
+        # gap separation tolerances above site i
+        sites = sites.copy()
+        for i, _, x, _ in pairs:
+            sites[i, 0] = x
+        tol = MIN_SITE_SEPARATION * max(1.0, float(np.abs(sites).max()))
+        for i, j, _, gap in pairs:
+            sites[j] = sites[i] + [0.0, gap * tol]
+        return sites
+
+    return {
+        "clean": base,
+        "late-in-x": plant(base, (1, 250, 2.0, 1e-3), (200, 201, -1.0, 1e-3)),
+        "first-and-last": plant(base, (0, 299, 1.9, 1e-3), (5, 6, -1.0, 0.0)),
+        "at-tolerance": plant(base, (3, 140, 1.8, 1 + 1e-6), (9, 12, 1.7, 1 - 1e-6)),
+        "one-x": plant(one_x, (3, 280, 0.5, 1e-3), (100, 101, 0.5, 1e-3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_separation_cases()))
+def test_separation_check_matches_pair_loop(case):
+    sites = _separation_cases()[case]
+    n = sites.shape[0]
+    good = SymForm(0, 2, 1, np.array([1.0]))
+    expected = separation_oracle(sites, MIN_SITE_SEPARATION)
+    assert expected == {"clean": None, "late-in-x": (1, 250), "first-and-last": (0, 299),
+                        "at-tolerance": (9, 12), "one-x": (3, 280)}[case]
+    if expected is None:
+        assert LipFunction(1.0, sites, [[good]] * n).n_sites == n
+    else:
+        with pytest.raises(ValueError, match=rf"sites {expected[0]} and {expected[1]} "):
+            LipFunction(1.0, sites, [[good]] * n)
 
 
 def test_separation_tolerance_is_relative():
@@ -274,6 +318,39 @@ def test_lip_norm_matches_pair_loop_oracle(d, m, k, n, monkeypatch):
             assert rep.holder == pytest.approx(holder, rel=1e-12)
             assert rep.pointwise_witness == pointwise_witness
             assert rep.holder_witness == holder_witness
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lip_norm_raises_on_overflowing_remainder(m):
+    # 1e307 coefficients on sites 100 apart: the level-0 expansion is inf,
+    # and the remainder -inf (m = 1) or inf - inf (m = 2), which once read
+    # as a remainder of 0 at pair None
+    big = [SymForm(l, 1, m, np.full((1,) * l + (m,), 1e307)) for l in range(3)]
+    f = LipFunction(2.5, [[0.0], [100.0]], [big, big])
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=r"level 0 remainder at pair \(0, 1\) overflows"):
+        lip_norm(f, 2.5)
+
+
+def test_lip_norm_zero_remainder_over_underflowed_power():
+    # gamma = 40 on sites 2e-9 apart: gap ** (eta - l) underflows to 0 for
+    # low levels, and a zero remainder over it is a zero quotient, not 0/0
+    # (built from level arrays: the public constructor would symmetrize
+    # each degree-l form over all l! index orders)
+    sites = np.array([[0.0], [2e-9], [5e-9]])
+    f = LipFunction._from_levels(40.0, sites, [np.zeros((3,) + (1,) * l + (1,)) for l in range(40)])
+    assert (2e-9) ** 40 == 0.0
+    with np.errstate(all="ignore"):
+        rep = lip_norm(f, 40.0)
+    assert rep.holder == [0.0] * 40 and rep.holder_witness == [None] * 40
+    # next to a nonzero quotient on the pair (1, 2) about 1 apart, the 0/0
+    # of the pair (0, 1) once hid the level-0 sup, which read 0 at pair None
+    sites = np.array([[0.0], [2e-9], [1.0]])
+    f = LipFunction._from_levels(40.0, sites, [np.array([0.0, 0.0, 1.0]).reshape(3, 1)]
+                                 + [np.zeros((3,) + (1,) * l + (1,)) for l in range(1, 40)])
+    with np.errstate(all="ignore"):
+        rep = lip_norm(f, 40.0)
+    assert rep.holder_witness[0] == (1, 2) and rep.holder[0] == pytest.approx(1.0, rel=1e-6)
+    assert rep.holder[1:] == [0.0] * 39
 
 
 def test_lip_norm_witness_across_row_blocks():
